@@ -380,9 +380,8 @@ class Corpus:
         return hashlib.sha256(self.manifest_text().encode("ascii")).hexdigest()
 
 
-def _generate_corpus_item(args: tuple[PhantomSpec, int, str, int, int]
-                          ) -> tuple[Slice, CorpusRecord]:
-    spec, index, split_name, master_seed, resolution = args
+def _generate_corpus_item(spec: PhantomSpec, index: int, split_name: str, master_seed: int,
+                          resolution: int) -> tuple[Slice, CorpusRecord]:
     for attempt in range(8):
         seed = int(rng_for(master_seed, "sample", spec.label.id, index, attempt)
                    .integers(0, 2**31 - 1))
@@ -399,8 +398,6 @@ def _generate_corpus_item(args: tuple[PhantomSpec, int, str, int, int]
 def build_corpus(specs: Iterable[PhantomSpec], per_label: int, resolution: int,
                  split: tuple[float, float, float] = (0.8, 0.1, 0.1),
                  master_seed: int = 0) -> Corpus:
-    from .parallel import parallel_map
-
     specs = list(specs)
     if per_label <= 0:
         raise ContractError("per_label must be positive")
@@ -410,21 +407,16 @@ def build_corpus(specs: Iterable[PhantomSpec], per_label: int, resolution: int,
     n_test = int(np.floor(per_label * split[2]))
     n_train = per_label - n_val - n_test
 
-    jobs = []
+    slices: dict[str, list[Slice]] = {"train": [], "val": [], "test": []}
+    records: list[CorpusRecord] = []
     for spec in specs:
         for index in range(per_label):
             split_name = ("train" if index < n_train
                           else "val" if index < n_train + n_val else "test")
-            jobs.append((spec, index, split_name, master_seed, resolution))
-    # each job's seed derives from (master_seed, label, index), never from
-    # worker identity, so the thread count cannot change the corpus
-    results = parallel_map(_generate_corpus_item, jobs)
-
-    slices: dict[str, list[Slice]] = {"train": [], "val": [], "test": []}
-    records: list[CorpusRecord] = []
-    for item, record in results:
-        slices[record.split].append(item)
-        records.append(record)
+            item, record = _generate_corpus_item(spec, index, split_name, master_seed,
+                                                 resolution)
+            slices[split_name].append(item)
+            records.append(record)
     return Corpus(labels=[s.label for s in specs],
                   families={s.label.id: s.family for s in specs},
                   slices=slices, records=records, resolution=resolution)
@@ -463,7 +455,6 @@ class LoadedCorpus:
 def load_corpus(corpus_dir: str | os.PathLike, dtype=np.float32) -> LoadedCorpus:
     """Read a saved corpus back from its manifest."""
     from . import pgmio
-    from .parallel import parallel_map
 
     root = os.fspath(corpus_dir)
     manifest = os.path.join(root, "manifest.txt")
@@ -478,7 +469,7 @@ def load_corpus(corpus_dir: str | os.PathLike, dtype=np.float32) -> LoadedCorpus
         path, label_id, split, seed = line.split("\t")
         records.append(CorpusRecord(path=path, label_id=int(label_id),
                                     split=split, seed=int(seed)))
-    images = parallel_map(lambda r: pgmio.read_pgm(os.path.join(root, r.path)), records)
+    images = [pgmio.read_pgm(os.path.join(root, r.path)) for r in records]
     values: dict[str, list[np.ndarray]] = {"train": [], "val": [], "test": []}
     labels: dict[str, list[int]] = {"train": [], "val": [], "test": []}
     names: dict[int, str] = {}

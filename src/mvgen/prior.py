@@ -3,7 +3,9 @@
 The flat sequence concatenates every scale's grid cells coarse to fine.
 Attention is block-causal at scale granularity (a position sees every position
 of its own and all coarser scales), so logits at scale k depend only on grids
-strictly coarser than k plus the dataset-label condition. Inputs for scale 1
+strictly coarser than k plus the dataset-label condition, and the keys and
+values of a finished scale never change: `next_scale_logits` with a
+`ScaleCache` runs only the new scale's rows against them. Inputs for scale 1
 are the condition embedding; inputs for scale k>1 are the sum of the code
 embeddings of all coarser scales, each upsampled to the finest grid, then
 resized to the scale-k grid and linearly projected (a residual code alone says
@@ -92,6 +94,22 @@ class BlockCausalMask:
         return self.allow.shape[0]
 
 
+@dataclasses.dataclass
+class ScaleCache:
+    """One condition's coarse-to-fine walk through `next_scale_logits`.
+
+    Under the block-causal mask the keys and values of finished scales are
+    final, so a cached call runs only the new scale's rows against them.
+    Holds each block's keys and values for the rows already run, the latent
+    accumulator of upsampled code embeddings, and the number of scales done.
+    """
+    condition: int
+    scales_done: int = 0
+    acc: np.ndarray | None = None
+    keys: dict[int, Tensor] = dataclasses.field(default_factory=dict)
+    values: dict[int, Tensor] = dataclasses.field(default_factory=dict)
+
+
 def build_mask(schedule: ScaleSchedule) -> BlockCausalMask:
     """allow[i, j] iff scale(j) <= scale(i); dense within a scale."""
     scale_of = np.concatenate([np.full(n * n, k, dtype=np.int64)
@@ -125,6 +143,7 @@ class PriorModel:
         self._mask_bias = np.where(mask.allow, 0.0, MASK_BIAS).astype(config.np_dtype())
         self._level_ids = np.concatenate([np.full(n * n, k, dtype=np.int64)
                                           for k, n in enumerate(self.schedule.sizes)])
+        self._offsets = [0] + [s.stop for s in self.schedule.position_slices()]
 
     @classmethod
     def create(cls, config: PriorConfig, code_table: np.ndarray, seed: int = 0) -> "PriorModel":
@@ -171,13 +190,15 @@ class PriorModel:
 
     # -- forward ---------------------------------------------------------
 
-    def embed_inputs(self, prefix_grids: Sequence[np.ndarray], labels: np.ndarray) -> Tensor:
-        """Inputs for scales 1 .. len(prefix)+1.
+    def embed_inputs(self, prefix_grids: Sequence[np.ndarray], labels: np.ndarray,
+                     cache: ScaleCache | None = None) -> Tensor:
+        """Inputs for scales 1 .. len(prefix)+1; with a cache, for the last alone.
 
         prefix_grids[j] is the (B, n, n) token grid of scale j+1; labels are
         per-sample condition indices (null index allowed). Scale k>1 sees the
         sum of the upsampled code embeddings of scales 1 .. k-1, accumulated
-        on the finest grid and resized to its own.
+        on the finest grid and resized to its own. A cache supplies the sum
+        so far and takes it back grown by the newest grid.
         """
         cfg = self.config
         labels = np.asarray(labels, dtype=np.int64)
@@ -186,16 +207,20 @@ class PriorModel:
         k_active = len(prefix_grids) + 1
         if k_active > self.schedule.num_scales:
             raise ContractError("prefix longer than the schedule allows")
+        first = 0 if cache is None else k_active - 1
         b = labels.shape[0]
         dtype = cfg.np_dtype()
 
-        cond_rows = take(self.params["cond_emb"], labels)  # (B, W)
-        n1 = self.schedule.sizes[0]
-        pieces = [cond_rows.reshape(b, 1, cfg.width) *
-                  as_tensor(np.ones((1, n1 * n1, 1), dtype=dtype))]
+        pieces = []
+        if first == 0:
+            cond_rows = take(self.params["cond_emb"], labels)  # (B, W)
+            n1 = self.schedule.sizes[0]
+            pieces.append(cond_rows.reshape(b, 1, cfg.width) *
+                          as_tensor(np.ones((1, n1 * n1, 1), dtype=dtype)))
         n_latent = self.schedule.latent_size
-        acc = np.zeros((b, cfg.code_dim, n_latent, n_latent), dtype=dtype)
-        for j in range(1, k_active):
+        acc = (np.zeros((b, cfg.code_dim, n_latent, n_latent), dtype=dtype)
+               if cache is None or cache.acc is None else cache.acc)
+        for j in range(max(first, 1), k_active):
             n = self.schedule.sizes[j]
             prev = np.asarray(prefix_grids[j - 1])
             if prev.ndim == 2:
@@ -206,11 +231,14 @@ class PriorModel:
             flat = up.transpose(0, 2, 3, 1).reshape(b, n * n, cfg.code_dim)
             pieces.append(as_tensor(flat) @ self.params["input_proj.w"]
                           + self.params["input_proj.b"])
+        if cache is not None:
+            cache.acc = acc
         seq = pieces[0] if len(pieces) == 1 else concat(pieces, axis=1)
-        length = seq.shape[1]
-        pos = self.params["pos_emb"][:length]
-        level = take(self.params["level_emb"], self._level_ids[:length])
-        return seq + pos.reshape(1, length, cfg.width) + level.reshape(1, length, cfg.width)
+        start, end = self._offsets[first], self._offsets[k_active]
+        rows = end - start
+        pos = self.params["pos_emb"][start:end]
+        level = take(self.params["level_emb"], self._level_ids[start:end])
+        return seq + pos.reshape(1, rows, cfg.width) + level.reshape(1, rows, cfg.width)
 
     def _modulation(self, cond: Tensor, name: str, chunks: int) -> list[Tensor]:
         w = self.config.width
@@ -218,33 +246,49 @@ class PriorModel:
         b = mod.shape[0]
         return [mod[:, i * w:(i + 1) * w].reshape(b, 1, w) for i in range(chunks)]
 
-    def _attention(self, i: int, h_in: Tensor, length: int) -> Tensor:
+    def _attention(self, i: int, h_in: Tensor, start: int,
+                   cache: ScaleCache | None = None) -> Tensor:
+        """Block i's attention for the rows from flat position `start` on.
+
+        With a cache, the rows attend to the cached keys and values ahead of
+        their own, which the cache then keeps.
+        """
         cfg = self.config
-        b = h_in.shape[0]
+        b, rows = h_in.shape[0], h_in.shape[1]
         heads, hd = cfg.heads, cfg.width // cfg.heads
 
         def project(piece):
             out = h_in @ self.params[f"block{i}.{piece}.w"] + self.params[f"block{i}.{piece}.b"]
-            return out.reshape(b, length, heads, hd).transpose(0, 2, 1, 3)
+            return out.reshape(b, rows, heads, hd).transpose(0, 2, 1, 3)
 
         q = l2_normalize(project("wq"))
         k = l2_normalize(project("wk"))
         v = project("wv")
+        if cache is not None:
+            if i in cache.keys:
+                k = concat([cache.keys[i], k], axis=2)
+                v = concat([cache.values[i], v], axis=2)
+            cache.keys[i], cache.values[i] = k, v
+        end = start + rows
         temp = self.params[f"block{i}.temp"].reshape(1, heads, 1, 1)
         scores = (q @ k.transpose(0, 1, 3, 2)) * temp
-        scores = scores + as_tensor(self._mask_bias[:length, :length])
+        scores = scores + as_tensor(self._mask_bias[start:end, :end])
         att = softmax(scores)
-        mixed = (att @ v).transpose(0, 2, 1, 3).reshape(b, length, cfg.width)
+        mixed = (att @ v).transpose(0, 2, 1, 3).reshape(b, rows, cfg.width)
         return mixed @ self.params[f"block{i}.wo.w"] + self.params[f"block{i}.wo.b"]
 
-    def _run(self, seq: Tensor, cond: Tensor) -> Tensor:
-        """(B, L', W) inputs + (B, W) condition -> (B, L', V) logits."""
-        length = seq.shape[1]
+    def _run(self, seq: Tensor, cond: Tensor, cache: ScaleCache | None = None) -> Tensor:
+        """(B, L', W) inputs + (B, W) condition -> (B, L', V) logits.
+
+        Without a cache the rows are the sequence from its start; with one,
+        the rows of the scale after those the cache holds.
+        """
+        start = 0 if cache is None else self._offsets[cache.scales_done]
         x = seq
         for i in range(self.config.depth):
             g1, b1, a1, g2, b2, a2 = self._modulation(cond, f"block{i}.adaln", 6)
             h = layernorm(x) * (g1 + 1.0) + b1
-            x = x + a1 * self._attention(i, h, length)
+            x = x + a1 * self._attention(i, h, start, cache)
             h = layernorm(x) * (g2 + 1.0) + b2
             ffn = gelu(h @ self.params[f"block{i}.ffn1.w"] + self.params[f"block{i}.ffn1.b"])
             ffn = ffn @ self.params[f"block{i}.ffn2.w"] + self.params[f"block{i}.ffn2.b"]
@@ -262,14 +306,28 @@ class PriorModel:
         cond = take(self.params["cond_emb"], labels)
         return self._run(seq, cond)
 
-    def next_scale_logits(self, prefix_grids: Sequence[np.ndarray], c: int) -> np.ndarray:
-        """Logits (n_k^2, V) for the scale following the prefix (single sample)."""
+    def next_scale_logits(self, prefix_grids: Sequence[np.ndarray], c: int,
+                          cache: ScaleCache | None = None) -> np.ndarray:
+        """Logits (n_k^2, V) for the scale following the prefix (single sample).
+
+        Without a cache the whole prefix runs again. With one, built for c
+        and holding the len(prefix) scales before, only the new scale's rows
+        run, and the cache advances by that scale; the logits are the same.
+        """
         k = len(prefix_grids)
+        if cache is not None:
+            if cache.condition != c:
+                raise ContractError(f"cache built for condition {cache.condition}, not {c}")
+            if cache.scales_done != k:
+                raise ContractError(f"cache holds {cache.scales_done} scales, "
+                                    f"the prefix {k}")
         with no_grad():
             seq = self.embed_inputs([np.asarray(g)[None] for g in prefix_grids],
-                                    np.array([c]))
+                                    np.array([c]), cache)
             cond = take(self.params["cond_emb"], np.array([c]))
-            logits = self._run(seq, cond).values[0]
+            logits = self._run(seq, cond, cache).values[0]
+        if cache is not None:
+            cache.scales_done += 1
         n = self.schedule.sizes[k]
         return logits[-n * n:]
 
@@ -346,25 +404,24 @@ def per_token_loss(model: PriorModel, grids: Sequence[np.ndarray], labels: np.nd
     return total / count
 
 
-def joint_logprob(pyramid: TokenPyramid, c: int, model: PriorModel) -> float:
-    """log p(pyramid | c): sum of log-softmax values at the realized indices."""
-    logits = forward(pyramid, c, model)
+def _realized_logprob(logits: np.ndarray, flat: np.ndarray) -> float:
+    """Sum over rows of the log-softmax value at each row's realized index."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    flat = pyramid.flat()
     return float(logp[np.arange(flat.size), flat].sum())
 
 
+def joint_logprob(pyramid: TokenPyramid, c: int, model: PriorModel) -> float:
+    """log p(pyramid | c): sum of log-softmax values at the realized indices."""
+    return _realized_logprob(forward(pyramid, c, model), pyramid.flat())
+
+
 def joint_logprob_incremental(pyramid: TokenPyramid, c: int, model: PriorModel) -> float:
-    """Same quantity via K separate prefix evaluations (factorization identity)."""
-    total = 0.0
-    for k, n in enumerate(model.schedule.sizes):
-        logits = model.next_scale_logits(list(pyramid.grids[:k]), c)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        flat = pyramid.grids[k].reshape(-1)
-        total += float(logp[np.arange(flat.size), flat].sum())
-    return total
+    """Same quantity scale by scale through one cache (factorization identity)."""
+    cache = ScaleCache(c)
+    return sum(_realized_logprob(model.next_scale_logits(list(pyramid.grids[:k]), c, cache),
+                                 pyramid.grids[k].reshape(-1))
+               for k in range(model.schedule.num_scales))
 
 
 # -- checkpointing -------------------------------------------------------------

@@ -32,7 +32,3 @@ def rng_for(*key_parts: int | str) -> np.random.Generator:
     """Deterministic generator for a key tuple (Philox, counter-based)."""
     return np.random.Generator(np.random.Philox(key=_mix(key_parts)))
 
-
-def uniform_for(*key_parts: int | str) -> float:
-    """Single uniform in [0, 1) keyed by the tuple."""
-    return float(rng_for(*key_parts).random())

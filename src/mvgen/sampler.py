@@ -2,10 +2,13 @@
 
 Each scale costs two prior evaluations (condition and null condition) when
 guidance is enabled, one otherwise, so the forward-pass count per image is
-2K or K regardless of how many tokens the schedule holds. Per-position draws
-use a counter-based generator keyed by (seed, scale, position): they are
-order-independent, and the paired null evaluation consumes no randomness, so
-guidance strength 1 is bit-identical to running without guidance.
+2K or K regardless of how many tokens the schedule holds. `generate` keeps one
+KV cache per condition, so each pass runs only the new scale's n_k^2 rows
+against the cached keys and values of the coarser scales. A scale's rows are
+filtered and drawn in one call each; every draw uses a counter-based
+generator keyed by (seed, scale, position): draws are order-independent, and
+the paired null evaluation consumes no randomness, so guidance strength 1 is
+bit-identical to running without guidance.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import dataclasses
 import numpy as np
 
 from .numerics import ContractError
-from .prior import PriorModel
+from .prior import PriorModel, ScaleCache
 from .rng import rng_for
 from .tokenizer import TokenizerModel, TokenPyramid, decode_batch
 
@@ -51,55 +54,65 @@ def cfg_combine(cond: np.ndarray, uncond: np.ndarray, s: float) -> np.ndarray:
     return uncond + s * (cond - uncond)
 
 
+def _keep_largest(probs: np.ndarray, count: int | np.ndarray) -> np.ndarray:
+    """Zero all but each row's `count` largest masses (ties -> lower index), renormalize."""
+    rank = np.argsort(np.argsort(-probs, axis=-1, kind="stable"), axis=-1)
+    out = np.where(rank < count, probs, 0.0)
+    return out / out.sum(axis=-1, keepdims=True)
+
+
 def top_k_filter(probs: np.ndarray, k: int) -> np.ndarray:
-    """Zero all but the k largest masses (ties -> lower index), renormalize."""
+    """Zero all but the k largest masses (ties -> lower index), renormalize.
+
+    Works along the last axis, so a (n, V) array is filtered row by row.
+    """
     probs = np.asarray(probs, dtype=np.float64)
     if k < 1:
         raise ContractError("top_k must be at least 1")
-    if k >= probs.size:
+    if k >= probs.shape[-1]:
         return probs.copy()
-    order = np.argsort(-probs, kind="stable")
-    out = np.zeros_like(probs)
-    keep = order[:k]
-    out[keep] = probs[keep]
-    return out / out.sum()
+    return _keep_largest(probs, k)
 
 
 def top_p_filter(probs: np.ndarray, p: float) -> np.ndarray:
-    """Keep the smallest descending-order prefix with cumulative mass >= p."""
+    """Keep the smallest descending-order prefix with cumulative mass >= p.
+
+    Works along the last axis, so a (n, V) array is filtered row by row.
+    """
     probs = np.asarray(probs, dtype=np.float64)
     if not 0.0 < p <= 1.0:
         raise ContractError("top_p must lie in (0, 1]")
     if p == 1.0:
         return probs.copy()
-    order = np.argsort(-probs, kind="stable")
-    cum = np.cumsum(probs[order])
-    cutoff = int(np.searchsorted(cum, p, side="left"))
-    keep = order[:cutoff + 1]
-    out = np.zeros_like(probs)
-    out[keep] = probs[keep]
-    return out / out.sum()
+    cum = np.cumsum(-np.sort(-probs, axis=-1), axis=-1)
+    # cum never falls, so the count of entries below p is where p would insert
+    return _keep_largest(probs, (cum < p).sum(axis=-1, keepdims=True) + 1)
 
 
-def categorical_draw(probs: np.ndarray, seed: int, scale_index: int, position: int) -> int:
-    """Inverse-CDF draw using the uniform keyed by (seed, scale, position)."""
-    u = float(rng_for(seed, "draw", scale_index, position).random())
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, u, side="right"))
-    if idx >= probs.size or probs[idx] == 0.0:
-        idx = int(np.flatnonzero(probs > 0)[-1])
-    return idx
+def categorical_draw(probs: np.ndarray, seed: int, scale_index: int, position: int):
+    """Inverse-CDF draw using the uniform keyed by (seed, scale, position).
+
+    Works along the last axis: row r of a (n, V) array draws with the uniform
+    keyed by position + r, and the n indices come back as an array.
+    """
+    probs = np.asarray(probs)
+    rows = probs.reshape(-1, probs.shape[-1])
+    n, v = rows.shape
+    u = np.array([rng_for(seed, "draw", scale_index, position + r).random() for r in range(n)])
+    cum = np.cumsum(rows, axis=-1)
+    idx = (cum <= u[:, None]).sum(axis=-1)  # searchsorted(side="right"): cum never falls
+    last_nonzero = v - 1 - np.argmax(rows[:, ::-1] > 0, axis=-1)
+    missed = (idx >= v) | (rows[np.arange(n), np.minimum(idx, v - 1)] == 0.0)
+    idx = np.where(missed, last_nonzero, idx)
+    return int(idx[0]) if probs.ndim == 1 else idx
 
 
 def _filtered_distribution(logits: np.ndarray, cfg: SamplingConfig) -> np.ndarray:
-    if cfg.temperature == 0.0:
-        out = np.zeros_like(logits, dtype=np.float64)
-        out[int(np.argmax(logits))] = 1.0  # argmax limit; ties -> lowest index
-        return out
+    """Row-wise softmax at the temperature, then top-k and top-p."""
     scaled = logits / cfg.temperature
-    shifted = scaled - scaled.max()
+    shifted = scaled - scaled.max(axis=-1, keepdims=True)
     probs = np.exp(shifted)
-    probs /= probs.sum()
+    probs /= probs.sum(axis=-1, keepdims=True)
     if cfg.top_k is not None:
         probs = top_k_filter(probs, cfg.top_k)
     if cfg.top_p is not None:
@@ -114,29 +127,32 @@ def _guidance_strength(cfg: SamplingConfig, scale_index: int, num_scales: int) -
     return 1.0 + (s - 1.0) * scale_index / (num_scales - 1)
 
 
-def sample_scale(model: PriorModel, prefix: list[np.ndarray], c: int,
-                 cfg: SamplingConfig) -> tuple[np.ndarray, int]:
-    """Draw the next scale's grid; returns (grid, forward passes used)."""
+def sample_scale(model: PriorModel, prefix: list[np.ndarray], c: int, cfg: SamplingConfig,
+                 caches: tuple[ScaleCache, ScaleCache] | None = None) -> tuple[np.ndarray, int]:
+    """Draw the next scale's grid; returns (grid, forward passes used).
+
+    `caches` are the (condition, null condition) caches of a walk holding
+    the prefix's scales; without them each pass runs the whole prefix again.
+    """
     k = len(prefix)
     n = model.schedule.sizes[k]
     if cfg.top_k is not None and cfg.top_k > model.config.vocab_size:
         raise ContractError("top_k exceeds the vocabulary size")
-    cond_logits = model.next_scale_logits(prefix, c)
+    cache, null_cache = caches if caches is not None else (None, None)
+    cond_logits = model.next_scale_logits(prefix, c, cache=cache)
     passes = 1
     if cfg.cfg_scale is None:
         guided = cond_logits.astype(np.float64)
     else:
-        uncond_logits = model.next_scale_logits(prefix, model.config.null_index)
+        uncond_logits = model.next_scale_logits(prefix, model.config.null_index,
+                                                cache=null_cache)
         passes = 2
         strength = _guidance_strength(cfg, k, model.schedule.num_scales)
         guided = cfg_combine(cond_logits, uncond_logits, strength)
-    flat = np.empty(n * n, dtype=np.int64)
-    for pos in range(n * n):
-        probs = _filtered_distribution(guided[pos], cfg)
-        if cfg.temperature == 0.0:
-            flat[pos] = int(np.argmax(probs))
-        else:
-            flat[pos] = categorical_draw(probs, cfg.seed, k, pos)
+    if cfg.temperature == 0.0:
+        flat = np.argmax(guided, axis=-1)  # argmax limit; ties -> lowest index
+    else:
+        flat = categorical_draw(_filtered_distribution(guided, cfg), cfg.seed, k, 0)
     return flat.reshape(n, n), passes
 
 
@@ -154,8 +170,9 @@ def generate(prior: PriorModel, tokenizer: TokenizerModel, c: int,
         raise ContractError("prior and tokenizer schedules differ")
     prefix: list[np.ndarray] = []
     passes = 0
+    caches = (ScaleCache(c), ScaleCache(prior.config.null_index))
     for _ in prior.schedule.sizes:
-        grid, used = sample_scale(prior, prefix, c, cfg)
+        grid, used = sample_scale(prior, prefix, c, cfg, caches)
         prefix.append(grid)
         passes += used
     pyramid = TokenPyramid(tuple(prefix))

@@ -3,7 +3,7 @@ import pytest
 
 from mvgen import prior as pr
 from mvgen.numerics import ContractError, OptimizerConfig
-from mvgen.tokenizer import ScaleSchedule, TokenPyramid
+from mvgen.tokenizer import PAPER_SCHEDULE, ScaleSchedule, TokenPyramid
 
 
 def make_model(schedule=(1, 2, 3), vocab=16, n_labels=3, depth=2, width=32,
@@ -188,6 +188,37 @@ class TestJointLogprob:
             flat = pyr.grids[k].reshape(-1)
             picked = logp[np.arange(flat.size), flat]
             assert np.all(np.exp(picked) <= 1.0 + 1e-12)
+
+
+class TestScaleCache:
+    @pytest.mark.parametrize("schedule", [(1, 2), (1, 2, 3), (1, 2, 3, 4), PAPER_SCHEDULE.sizes])
+    def test_cached_logits_equal_uncached_exactly(self, schedule):
+        model = nonzero_head(make_model(schedule=schedule, depth=2, width=16))
+        pyr = random_pyramid(model, seed=len(schedule))
+        for c in (1, model.config.null_index):
+            cache = pr.ScaleCache(c)
+            for k in range(len(schedule)):
+                prefix = list(pyr.grids[:k])
+                uncached = model.next_scale_logits(prefix, c)
+                assert np.array_equal(model.next_scale_logits(prefix, c, cache), uncached)
+            assert cache.scales_done == len(schedule)
+
+    def test_prefix_length_other_than_scales_held_rejected(self):
+        model = make_model()
+        pyr = random_pyramid(model)
+        cache = pr.ScaleCache(0)
+        with pytest.raises(ContractError):
+            model.next_scale_logits(list(pyr.grids[:1]), 0, cache)
+        model.next_scale_logits([], 0, cache)
+        with pytest.raises(ContractError):
+            model.next_scale_logits([], 0, cache)
+
+    def test_other_condition_rejected(self):
+        model = make_model()
+        cache = pr.ScaleCache(0)
+        model.next_scale_logits([], 0, cache)
+        with pytest.raises(ContractError):
+            model.next_scale_logits([np.array([[1]])], model.config.null_index, cache)
 
 
 class TestTraining:

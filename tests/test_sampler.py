@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvgen import prior as pr
 from mvgen import sampler as smp
@@ -129,6 +131,25 @@ class TestCategoricalDraw:
         assert chi2 < 16.27  # chi-square(3) 99.9th percentile
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9), vocab=st.integers(1, 12),
+       k=st.integers(1, 13), p=st.floats(0.01, 1.0), tied=st.booleans())
+def test_row_wise_filters_and_draw_equal_one_dimensional_calls(seed, rows, vocab, k, p, tied):
+    rng = np.random.default_rng(seed)
+    logits = (rng.integers(0, 3, size=(rows, vocab)).astype(np.float64) if tied
+              else rng.normal(size=(rows, vocab)))
+    probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    top_k, top_p = smp.top_k_filter(probs, k), smp.top_p_filter(probs, p)
+    both = smp.top_p_filter(top_k, p)
+    draws = smp.categorical_draw(both, seed, 2, 5)
+    assert draws.shape == (rows,)
+    for r in range(rows):
+        assert np.array_equal(top_k[r], smp.top_k_filter(probs[r], k))
+        assert np.array_equal(top_p[r], smp.top_p_filter(probs[r], p))
+        assert draws[r] == smp.categorical_draw(both[r], seed, 2, 5 + r)
+
+
 class TestSampleScale:
     def test_greedy_temperature_zero_deterministic(self):
         model = toy_prior()
@@ -201,6 +222,26 @@ class TestGenerate:
             probs /= probs.sum()
             support = np.flatnonzero(smp.top_k_filter(probs, 3) > 0)
             assert out.pyramid.grids[0][0, 0] in support
+
+    @pytest.mark.parametrize("cfg", [
+        smp.SamplingConfig(cfg_scale=4.0, seed=3),
+        smp.SamplingConfig(cfg_scale=None, seed=4),
+        smp.SamplingConfig(cfg_scale=4.0, cfg_ramp=True, seed=5),
+        smp.SamplingConfig(cfg_scale=2.0, top_k=3, top_p=0.8, seed=6),
+        smp.SamplingConfig(cfg_scale=2.0, temperature=0.0, seed=7),
+    ])
+    def test_matches_uncached_scale_by_scale_reference(self, cfg):
+        schedule = (1, 2, 3, 4)
+        model = toy_prior(schedule=schedule, seed=13)
+        tkn = matched_tokenizer(schedule=schedule, seed=14)
+        out = smp.generate(model, tkn, 1, cfg)
+        prefix = []
+        for _ in schedule:
+            grid, _ = smp.sample_scale(model, prefix, 1, cfg)
+            prefix.append(grid)
+        for a, b in zip(out.pyramid.grids, prefix):
+            assert np.array_equal(a, b)
+        assert np.array_equal(out.values, tok.decode_batch(tkn, [g[None] for g in prefix])[0])
 
     def test_mismatched_schedules_rejected(self):
         model = toy_prior(schedule=(1, 2))
