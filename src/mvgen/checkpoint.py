@@ -3,11 +3,13 @@
 Layout: magic "MVCKPT", version u32 LE, header length u64 LE, JSON header
 (config echo plus a section table of name/shape/offset), then the raw
 little-endian float32 blobs. Offsets are element counts into the blob region.
-float32 payloads round-trip bit-exactly.
+float32 payloads round-trip bit-exactly. Writes are atomic: a temp file in the
+checkpoint's directory replaces the old file only once it is complete.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,6 +18,15 @@ import numpy as np
 
 MAGIC = b"MVCKPT"
 VERSION = 1
+
+
+class ArtifactError(ValueError):
+    """An artifact that cannot be read: bad magic or version, cut short, or of the wrong kind."""
+
+
+class _Sections(dict):
+    def __missing__(self, name):
+        raise ArtifactError(f"checkpoint has no section {name!r}")
 
 
 def encode_checkpoint(config: dict, arrays: dict[str, np.ndarray]) -> bytes:
@@ -40,33 +51,100 @@ def encode_checkpoint(config: dict, arrays: dict[str, np.ndarray]) -> bytes:
 
 def decode_checkpoint(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     if blob[:6] != MAGIC:
-        raise ValueError("not an MVCKPT checkpoint")
+        raise ArtifactError("not an MVCKPT checkpoint")
     version = int.from_bytes(blob[6:10], "little")
     if version != VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ArtifactError(f"unsupported checkpoint version {version}")
     header_len = int.from_bytes(blob[10:18], "little")
-    header = json.loads(blob[18:18 + header_len].decode("utf-8"))
     base = 18 + header_len
-    arrays = {}
-    for section in header["sections"]:
+    if len(blob) < base:
+        raise ArtifactError(f"checkpoint header of {header_len} bytes; the file has {len(blob)}")
+    try:
+        header = json.loads(blob[18:base].decode("utf-8"))
+        config, sections = header["config"], header["sections"]
+    except (ValueError, KeyError, TypeError) as err:
+        raise ArtifactError(f"unreadable checkpoint header: {err}") from err
+    arrays = _Sections()
+    for section in sections:
         shape = tuple(section["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = base + section["offset"] * 4
+        if start + count * 4 > len(blob):
+            raise ArtifactError(f"checkpoint section {section['name']!r} runs past the "
+                                f"end of the file ({len(blob)} bytes)")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
         arrays[section["name"]] = arr.reshape(shape).copy()
-    return header["config"], arrays
+    return config, arrays
 
 
 def write_checkpoint(path: str | os.PathLike, config: dict, arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_checkpoint(config, arrays))
+    blob = encode_checkpoint(config, arrays)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def read_checkpoint(path: str | os.PathLike) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
-        return decode_checkpoint(fh.read())
+        blob = fh.read()
+    try:
+        return decode_checkpoint(blob)
+    except ArtifactError as err:
+        raise ArtifactError(f"{os.fspath(path)}: {err}") from None
 
 
 def checkpoint_hash(path: str | os.PathLike) -> str:
     with open(path, "rb") as fh:
         return hashlib.blake2b(fh.read(), digest_size=16).hexdigest()
+
+
+# -- model checkpoints: a config dataclass plus named parameters ----------------
+
+
+def param_arrays(params: dict, optimizer_state: bool) -> dict[str, np.ndarray]:
+    """One section per parameter, each followed by its Adam state when asked."""
+    arrays: dict[str, np.ndarray] = {}
+    for name, p in params.items():
+        arrays[name] = p.values
+        if optimizer_state:
+            arrays[f"opt.{name}.m"] = p.m
+            arrays[f"opt.{name}.v"] = p.v
+            arrays[f"opt.{name}.step"] = np.array(float(p.step))
+    return arrays
+
+
+def load_params(params: dict, arrays: dict[str, np.ndarray], dtype) -> None:
+    """Set each parameter, and its Adam state where saved, from the sections."""
+    for name, p in params.items():
+        p.values = arrays[name].astype(dtype)
+        if f"opt.{name}.m" in arrays:
+            p.m = arrays[f"opt.{name}.m"].astype(dtype)
+            p.v = arrays[f"opt.{name}.v"].astype(dtype)
+            p.step = int(arrays[f"opt.{name}.step"].reshape(-1)[0])
+
+
+def save_model(path: str | os.PathLike, kind: str, config, arrays: dict[str, np.ndarray],
+               extra_config: dict | None = None, train_step: int | None = None) -> None:
+    """Write a model checkpoint: the config dataclass, its kind, extras and the step."""
+    header = dataclasses.asdict(config)
+    header["kind"] = kind
+    if extra_config:
+        header.update(extra_config)
+    if train_step is not None:
+        header["train_step"] = train_step
+    write_checkpoint(path, header, arrays)
+
+
+def load_model(path: str | os.PathLike, kind: str, config_cls):
+    """Read a checkpoint of `kind` -> (config_cls instance, raw config, sections)."""
+    config, arrays = read_checkpoint(path)
+    if config.get("kind") != kind:
+        raise ArtifactError(f"{os.fspath(path)}: checkpoint holds a {config.get('kind')}, "
+                            f"not a {kind}")
+    fields = {f.name for f in dataclasses.fields(config_cls)}
+    return config_cls(**{k: v for k, v in config.items() if k in fields}), config, arrays

@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from . import checkpoint as ckpt
 from . import datagen as dg
 from . import metrics as mx
 from . import pgmio
@@ -76,19 +77,6 @@ class CorpusConfig:
             data["split"] = tuple(data["split"])
         return cls(**data)
 
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["split"] = list(self.split)
-        return out
-
-
-def _optimizer_from_dict(data: dict, defaults: OptimizerConfig) -> OptimizerConfig:
-    fields = {f.name for f in dataclasses.fields(OptimizerConfig)}
-    unknown = set(data) - fields
-    if unknown:
-        raise ConfigError(f"unknown keys in optimizer config: {sorted(unknown)}")
-    return dataclasses.replace(defaults, **data)
-
 
 @dataclasses.dataclass
 class TokenizerTrainConfig:
@@ -110,26 +98,6 @@ class TokenizerTrainConfig:
     optimizer: OptimizerConfig = dataclasses.field(default_factory=lambda: OptimizerConfig(
         peak_lr=3e-3, warmup_steps=150, total_steps=5000))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TokenizerTrainConfig":
-        data = dict(_strict(cls, data, "tokenizer training config"))
-        base = cls()
-        raw_optimizer = data.get("optimizer", {})
-        if "schedule" in data:
-            data["schedule"] = tuple(data["schedule"])
-        if "optimizer" in data:
-            data["optimizer"] = _optimizer_from_dict(raw_optimizer, base.optimizer)
-        cfg = dataclasses.replace(base, **data)
-        if "total_steps" not in raw_optimizer:
-            cfg = dataclasses.replace(cfg, optimizer=dataclasses.replace(
-                cfg.optimizer, total_steps=max(cfg.steps, 1)))
-        return cfg
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["schedule"] = list(self.schedule)
-        return out
-
 
 @dataclasses.dataclass
 class PriorTrainConfig:
@@ -150,21 +118,21 @@ class PriorTrainConfig:
     optimizer: OptimizerConfig = dataclasses.field(default_factory=lambda: OptimizerConfig(
         peak_lr=1e-3, warmup_steps=100, total_steps=1500))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PriorTrainConfig":
-        data = dict(_strict(cls, data, "prior training config"))
-        base = cls()
-        raw_optimizer = data.get("optimizer", {})
-        if "optimizer" in data:
-            data["optimizer"] = _optimizer_from_dict(raw_optimizer, base.optimizer)
-        cfg = dataclasses.replace(base, **data)
-        if "total_steps" not in raw_optimizer:
-            cfg = dataclasses.replace(cfg, optimizer=dataclasses.replace(
-                cfg.optimizer, total_steps=max(cfg.steps, 1)))
-        return cfg
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+def _train_config(cls, data: dict, context: str):
+    """A train config from its JSON object over cls's defaults, unknown keys
+    rejected; the optimizer's total_steps follows steps unless it is given."""
+    data = dict(_strict(cls, data, context))
+    base = cls()
+    raw_optimizer = data.get("optimizer", {})
+    if "optimizer" in data:
+        data["optimizer"] = dataclasses.replace(
+            base.optimizer, **_strict(OptimizerConfig, raw_optimizer, "optimizer config"))
+    cfg = dataclasses.replace(base, **data)
+    if "total_steps" not in raw_optimizer:
+        cfg = dataclasses.replace(cfg, optimizer=dataclasses.replace(
+            cfg.optimizer, total_steps=max(cfg.steps, 1)))
+    return cfg
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -183,13 +151,6 @@ def _echo_config(tree: dict, echo_path: str) -> None:
     os.makedirs(os.path.dirname(echo_path) or ".", exist_ok=True)
     with open(echo_path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-
-
-def _write_loss_csv(path: str, curve: list[tuple[int, float, float]]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("step,lr,loss\n")
-        for step, lr, loss in curve:
-            fh.write(f"{step},{lr:.10g},{loss:.10g}\n")
 
 
 def _read_pgm_dir(path: str) -> np.ndarray:
@@ -216,52 +177,40 @@ def cmd_datagen(args) -> int:
     corpus = dg.build_corpus(specs, cfg.per_label, cfg.resolution,
                              split=cfg.split, master_seed=cfg.master_seed)
     dg.save_corpus(corpus, out_dir)
-    _echo_config({"command": "datagen", "corpus": cfg.to_dict()},
+    _echo_config({"command": "datagen", "corpus": dataclasses.asdict(cfg)},
                  os.path.join(out_dir, "corpus_config.json"))
     print(f"slices: {sum(len(v) for v in corpus.slices.values())}")
     print(f"manifest sha256: {corpus.manifest_hash()}")
     return EXIT_OK
 
 
-def _train_tokenizer(args) -> int:
-    cfg = TokenizerTrainConfig.from_dict(_load_config_file(args.config))
-    corpus = dg.load_corpus(os.path.join(args.workdir, cfg.corpus_dir),
-                            dtype=np.float32 if cfg.dtype == "float32" else np.float64)
-    if corpus.resolution != cfg.resolution:
-        raise ConfigError(f"corpus resolution {corpus.resolution} != config {cfg.resolution}")
-    model_cfg = tok.TokenizerConfig(resolution=cfg.resolution, schedule=cfg.schedule,
-                                    vocab_size=cfg.vocab_size, embed_dim=cfg.embed_dim,
-                                    beta_commit=cfg.beta_commit, ema_decay=cfg.ema_decay,
-                                    dtype=cfg.dtype)
-    start_step = 0
-    if args.resume:
-        model, old = tok.load_tokenizer(args.resume)
-        if tuple(model.config.schedule) != cfg.schedule:
-            raise ConfigError("checkpoint schedule does not match the config")
-        start_step = int(old.get("train_step", 0))
-    else:
-        model = tok.TokenizerModel.create(model_cfg, seed=cfg.model_seed)
-    ckpt_path = os.path.join(args.workdir, cfg.checkpoint)
-    label_names = {str(k): v for k, v in corpus.label_names.items()}
-    extra = {"labels": label_names}
+def _resume(path: str, load, schedule, source: str):
+    """(model, train_step) from a checkpoint whose schedule must equal `schedule`."""
+    model, config = load(path)
+    if tuple(model.config.schedule) != tuple(schedule):
+        raise ConfigError(f"checkpoint schedule does not match the {source}")
+    return model, int(config.get("train_step", 0))
 
+
+def _train(args, cfg, model, start_step: int, fit, save, extra: dict) -> int:
+    """Run `fit(step, chunk)` in chunks of save_every steps up to cfg.steps,
+    saving after each; then write the loss CSV and echo the config."""
+    if cfg.save_every < 1:
+        raise ConfigError("save_every must be positive")
+    ckpt_path = os.path.join(args.workdir, cfg.checkpoint)
     curve: list[tuple[int, float, float]] = []
-    remaining = cfg.steps - start_step
     step = start_step
-    while remaining > 0:
-        chunk = min(cfg.save_every, remaining)
-        curve += tok.train_tokenizer(corpus.values["train"], model, cfg.optimizer,
-                                     steps=chunk, batch_size=cfg.batch_size, seed=cfg.seed,
-                                     start_step=step, warm_start=(step == 0), log_every=1)
+    while step < cfg.steps:
+        chunk = min(cfg.save_every, cfg.steps - step)
+        curve += fit(step, chunk)
         step += chunk
-        remaining -= chunk
-        tok.save_tokenizer(ckpt_path, model, extra_config=extra, train_step=step,
-                           optimizer_state=True)
-    if cfg.steps == 0 or start_step >= cfg.steps:
-        tok.save_tokenizer(ckpt_path, model, extra_config=extra, train_step=start_step,
-                           optimizer_state=True)
-    _write_loss_csv(os.path.join(args.workdir, cfg.loss_csv), curve)
-    _echo_config({"command": "train tokenizer", "tokenizer": cfg.to_dict()},
+        save(ckpt_path, model, extra_config=extra, train_step=step, optimizer_state=True)
+    if step == start_step:
+        save(ckpt_path, model, extra_config=extra, train_step=step, optimizer_state=True)
+    with open(os.path.join(args.workdir, cfg.loss_csv), "w", encoding="ascii") as fh:
+        fh.write("step,lr,loss\n")
+        fh.writelines(f"{i},{lr:.10g},{loss:.10g}\n" for i, lr, loss in curve)
+    _echo_config({"command": f"train {args.component}", args.component: dataclasses.asdict(cfg)},
                  ckpt_path + ".config.json")
     if curve:
         print(f"final loss: {curve[-1][2]:.6f}")
@@ -269,8 +218,32 @@ def _train_tokenizer(args) -> int:
     return EXIT_OK
 
 
-def _train_prior(args) -> int:
-    cfg = PriorTrainConfig.from_dict(_load_config_file(args.config))
+def _train_tokenizer(args, data: dict) -> int:
+    cfg = _train_config(TokenizerTrainConfig, data, "tokenizer training config")
+    model_cfg = tok.TokenizerConfig(resolution=cfg.resolution, schedule=cfg.schedule,
+                                    vocab_size=cfg.vocab_size, embed_dim=cfg.embed_dim,
+                                    beta_commit=cfg.beta_commit, ema_decay=cfg.ema_decay,
+                                    dtype=cfg.dtype)
+    corpus = dg.load_corpus(os.path.join(args.workdir, cfg.corpus_dir),
+                            dtype=model_cfg.np_dtype())
+    if corpus.resolution != cfg.resolution:
+        raise ConfigError(f"corpus resolution {corpus.resolution} != config {cfg.resolution}")
+    if args.resume:
+        model, start_step = _resume(args.resume, tok.load_tokenizer, cfg.schedule, "config")
+    else:
+        model, start_step = tok.TokenizerModel.create(model_cfg, seed=cfg.model_seed), 0
+
+    def fit(step, chunk):
+        return tok.train_tokenizer(corpus.values["train"], model, cfg.optimizer, steps=chunk,
+                                   batch_size=cfg.batch_size, seed=cfg.seed, start_step=step,
+                                   warm_start=(step == 0), log_every=1)
+
+    extra = {"labels": {str(k): v for k, v in corpus.label_names.items()}}
+    return _train(args, cfg, model, start_step, fit, tok.save_tokenizer, extra)
+
+
+def _train_prior(args, data: dict) -> int:
+    cfg = _train_config(PriorTrainConfig, data, "prior training config")
     tok_path = os.path.join(args.workdir, cfg.tokenizer_checkpoint)
     if not os.path.exists(tok_path):
         raise ConfigError(f"tokenizer checkpoint not found: {tok_path} "
@@ -280,69 +253,45 @@ def _train_prior(args) -> int:
                             dtype=tokenizer.config.np_dtype())
     labels_cfg = tok_config.get("labels") or {
         str(k): v for k, v in corpus.label_names.items()}
-    n_labels = len(labels_cfg)
     prior_cfg = pr.PriorConfig(depth=cfg.depth, width=cfg.width, heads=cfg.heads,
                                vocab_size=tokenizer.config.vocab_size,
-                               schedule=tuple(tokenizer.config.schedule),
-                               n_labels=n_labels, code_dim=tokenizer.config.embed_dim,
+                               schedule=tokenizer.config.schedule,
+                               n_labels=len(labels_cfg), code_dim=tokenizer.config.embed_dim,
                                cond_dropout_p=cfg.cond_dropout_p, dtype=cfg.dtype)
-    start_step = 0
     if args.resume:
-        model, old = pr.load_prior(args.resume)
-        if tuple(model.config.schedule) != tuple(tokenizer.config.schedule):
-            raise ConfigError("checkpoint schedule does not match the tokenizer")
-        start_step = int(old.get("train_step", 0))
+        model, start_step = _resume(args.resume, pr.load_prior, prior_cfg.schedule, "tokenizer")
     else:
         model = pr.PriorModel.create(prior_cfg, tokenizer.codebook.embeddings,
                                      seed=cfg.model_seed)
-
+        start_step = 0
     train_grids = tok.encode_batch(tokenizer, corpus.values["train"])
-    train_labels = corpus.labels["train"]
-    ckpt_path = os.path.join(args.workdir, cfg.checkpoint)
-    extra = {"labels": labels_cfg, "tokenizer_checkpoint": cfg.tokenizer_checkpoint}
 
-    curve: list[tuple[int, float, float]] = []
-    remaining = cfg.steps - start_step
-    step = start_step
-    while remaining > 0:
-        chunk = min(cfg.save_every, remaining)
-        curve += pr.train_prior(train_grids, train_labels, model, cfg.optimizer,
-                                steps=chunk, batch_size=cfg.batch_size, seed=cfg.seed,
-                                start_step=step, log_every=1)
-        step += chunk
-        remaining -= chunk
-        pr.save_prior(ckpt_path, model, extra_config=extra, train_step=step,
-                      optimizer_state=True)
-    if cfg.steps == 0 or start_step >= cfg.steps:
-        pr.save_prior(ckpt_path, model, extra_config=extra, train_step=start_step,
-                      optimizer_state=True)
-    _write_loss_csv(os.path.join(args.workdir, cfg.loss_csv), curve)
-    _echo_config({"command": "train prior", "prior": cfg.to_dict()},
-                 ckpt_path + ".config.json")
-    if curve:
-        print(f"final loss: {curve[-1][2]:.6f}")
-    print(f"checkpoint: {ckpt_path}")
-    return EXIT_OK
+    def fit(step, chunk):
+        return pr.train_prior(train_grids, corpus.labels["train"], model, cfg.optimizer,
+                              steps=chunk, batch_size=cfg.batch_size, seed=cfg.seed,
+                              start_step=step, log_every=1)
+
+    extra = {"labels": labels_cfg, "tokenizer_checkpoint": cfg.tokenizer_checkpoint}
+    return _train(args, cfg, model, start_step, fit, pr.save_prior, extra)
 
 
 def cmd_train(args) -> int:
-    if args.component == "tokenizer":
-        return _train_tokenizer(args)
-    return _train_prior(args)
+    train = _train_tokenizer if args.component == "tokenizer" else _train_prior
+    return train(args, _load_config_file(args.config))
 
 
-def _label_id_by_name(labels_cfg: dict, name: str) -> int:
-    by_name = {v: int(k) for k, v in labels_cfg.items()}
-    if name not in by_name:
-        raise ConfigError(f"unknown label '{name}'; known labels: {sorted(by_name)}")
-    return by_name[name]
+def _load_models(args):
+    """The tokenizer and prior that args name, and the prior's id for args.label."""
+    tokenizer, _ = tok.load_tokenizer(os.path.join(args.workdir, args.tokenizer))
+    model, prior_config = pr.load_prior(os.path.join(args.workdir, args.prior))
+    by_name = {v: int(k) for k, v in (prior_config.get("labels") or {}).items()}
+    if args.label not in by_name:
+        raise ConfigError(f"unknown label '{args.label}'; known labels: {sorted(by_name)}")
+    return tokenizer, model, by_name[args.label]
 
 
 def cmd_sample(args) -> int:
-    tokenizer, _ = tok.load_tokenizer(os.path.join(args.workdir, args.tokenizer))
-    model, prior_config = pr.load_prior(os.path.join(args.workdir, args.prior))
-    labels_cfg = prior_config.get("labels") or {}
-    label_id = _label_id_by_name(labels_cfg, args.label)
+    tokenizer, model, label_id = _load_models(args)
     cfg = smp.SamplingConfig(cfg_scale=None if args.no_cfg else args.cfg,
                              top_k=args.top_k, top_p=args.top_p,
                              temperature=args.temperature, seed=args.seed)
@@ -418,9 +367,7 @@ def cmd_bench(args) -> int:
                       "prior": args.prior, "label": args.label, "count": args.count,
                       "cfg": args.cfg, "seed": args.seed, "real": args.real},
                      sort_keys=True))
-    tokenizer, _ = tok.load_tokenizer(os.path.join(args.workdir, args.tokenizer))
-    model, prior_config = pr.load_prior(os.path.join(args.workdir, args.prior))
-    label_id = _label_id_by_name(prior_config.get("labels") or {}, args.label)
+    tokenizer, model, label_id = _load_models(args)
     counter = {"i": 0, "passes": 0}
 
     def one():
@@ -545,7 +492,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ContractError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (ConfigError, ContractError, ckpt.ArtifactError, FileNotFoundError,
+            json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as err:

@@ -1,14 +1,15 @@
-"""AdamW with decoupled weight decay, warmup+cosine schedule, gradient clipping."""
+"""AdamW with decoupled weight decay, warmup+cosine schedule, gradient clipping,
+and the one training loop that drives them."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .tensor import ContractError, Tensor
+from .tensor import ContractError, NumericError, Tensor
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,3 +101,32 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
     for p in params:
         p.grad *= p.grad.dtype.type(scale)
     return scale
+
+
+def train_loop(params: list[Parameter], opt: OptimizerConfig, batch_size: int, steps: int,
+               start_step: int, log_every: int, what: str,
+               loss_at: Callable[[int], tuple[Tensor, Callable | None]]) -> list[tuple]:
+    """AdamW steps start_step .. start_step + steps - 1 -> the (step, lr, loss) curve.
+
+    loss_at(step) returns the step's loss and an optional callback to run after
+    the update. A numeric failure is re-raised naming `what` and the step.
+    """
+    scaled = opt.scaled_for_batch(batch_size)
+    curve = []
+    for step in range(start_step, start_step + steps):
+        for p in params:
+            p.zero_grad()
+        try:
+            loss, after_update = loss_at(step)
+            loss.backward()
+        except NumericError as err:
+            raise NumericError(f"{what} training diverged at step {step}: {err}") from err
+        clip_grad_norm(params, scaled.grad_clip_norm)
+        lr = lr_at(step, scaled)
+        for p in params:
+            adamw_update(p, lr, scaled)
+        if after_update is not None:
+            after_update()
+        if step % log_every == 0 or step == start_step + steps - 1:
+            curve.append((step, lr, loss.item()))
+    return curve

@@ -29,24 +29,21 @@ import numpy as np
 from . import checkpoint as ckpt
 from .numerics import (
     ContractError,
-    NumericError,
     OptimizerConfig,
     Parameter,
     Tensor,
-    adamw_update,
     as_tensor,
-    clip_grad_norm,
     concat,
     gelu,
     l2_normalize,
     layernorm,
     log_softmax,
-    lr_at,
     no_grad,
     resize_bilinear_np,
     softmax,
     take,
     take_along_last,
+    train_loop,
 )
 from .rng import rng_for
 from .tokenizer import ScaleSchedule, TokenPyramid
@@ -116,17 +113,6 @@ def build_mask(schedule: ScaleSchedule) -> BlockCausalMask:
                                for k, n in enumerate(schedule.sizes)])
     allow = scale_of[None, :] <= scale_of[:, None]
     return BlockCausalMask(allow=allow)
-
-
-def qk_normalize(q: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale head vectors to unit L2 norm (zero vectors stay zero)."""
-
-    def norm(x):
-        x = np.asarray(x, dtype=np.float64)
-        n = np.sqrt((x * x).sum(axis=-1, keepdims=True))
-        return np.where(n > 0, x / np.where(n > 0, n, 1.0), 0.0)
-
-    return norm(q), norm(k)
 
 
 class PriorModel:
@@ -362,30 +348,16 @@ def train_prior(grids: Sequence[np.ndarray], labels: np.ndarray, model: PriorMod
     n = labels.shape[0]
     if n == 0:
         raise ContractError("prior training needs a non-empty token corpus")
-    scaled = opt.scaled_for_batch(batch_size)
-    params = model.parameters()
-    p_drop = model.config.cond_dropout_p
-    curve = []
-    for step in range(start_step, start_step + steps):
-        rng = rng_for(seed, "batch", step)
-        idx = rng.integers(0, n, size=batch_size)
-        batch_grids = [np.asarray(g)[idx] for g in grids]
+
+    def loss_at(step):
+        idx = rng_for(seed, "batch", step).integers(0, n, size=batch_size)
         batch_labels = labels[idx].copy()
-        drop = rng_for(seed, "cdrop", step).random(batch_size) < p_drop
+        drop = rng_for(seed, "cdrop", step).random(batch_size) < model.config.cond_dropout_p
         batch_labels[drop] = model.config.null_index
-        model.zero_grad()
-        try:
-            loss = batch_loss(model, batch_grids, batch_labels)
-            loss.backward()
-        except NumericError as err:
-            raise NumericError(f"prior training diverged at step {step}: {err}") from err
-        clip_grad_norm(params, scaled.grad_clip_norm)
-        lr = lr_at(step, scaled)
-        for p in params:
-            adamw_update(p, lr, scaled)
-        if step % log_every == 0 or step == start_step + steps - 1:
-            curve.append((step, lr, loss.item()))
-    return curve
+        return batch_loss(model, [np.asarray(g)[idx] for g in grids], batch_labels), None
+
+    return train_loop(model.parameters(), opt, batch_size, steps, start_step, log_every,
+                      "prior", loss_at)
 
 
 def per_token_loss(model: PriorModel, grids: Sequence[np.ndarray], labels: np.ndarray,
@@ -430,34 +402,14 @@ def joint_logprob_incremental(pyramid: TokenPyramid, c: int, model: PriorModel) 
 def save_prior(path: str | os.PathLike, model: PriorModel,
                extra_config: dict | None = None, train_step: int | None = None,
                optimizer_state: bool = False) -> None:
-    config = dataclasses.asdict(model.config)
-    config["kind"] = "prior"
-    if extra_config:
-        config.update(extra_config)
-    if train_step is not None:
-        config["train_step"] = train_step
-    arrays: dict[str, np.ndarray] = {"code_table": model.code_table}
-    for name, p in model.params.items():
-        arrays[name] = p.values
-        if optimizer_state:
-            arrays[f"opt.{name}.m"] = p.m
-            arrays[f"opt.{name}.v"] = p.v
-            arrays[f"opt.{name}.step"] = np.array(float(p.step))
-    ckpt.write_checkpoint(path, config, arrays)
+    arrays = {"code_table": model.code_table,
+              **ckpt.param_arrays(model.params, optimizer_state)}
+    ckpt.save_model(path, "prior", model.config, arrays, extra_config, train_step)
 
 
 def load_prior(path: str | os.PathLike) -> tuple[PriorModel, dict]:
-    config, arrays = ckpt.read_checkpoint(path)
-    if config.get("kind") != "prior":
-        raise ValueError("checkpoint does not hold a prior")
-    fields = {f.name for f in dataclasses.fields(PriorConfig)}
-    cfg = PriorConfig(**{k: v for k, v in config.items() if k in fields})
+    cfg, config, arrays = ckpt.load_model(path, "prior", PriorConfig)
     dtype = cfg.np_dtype()
     model = PriorModel.create(cfg, arrays["code_table"].astype(dtype), seed=0)
-    for name, p in model.params.items():
-        p.values = arrays[name].astype(dtype)
-        if f"opt.{name}.m" in arrays:
-            p.m = arrays[f"opt.{name}.m"].astype(dtype)
-            p.v = arrays[f"opt.{name}.v"].astype(dtype)
-            p.step = int(arrays[f"opt.{name}.step"].reshape(-1)[0])
+    ckpt.load_params(model.params, arrays, dtype)
     return model, config

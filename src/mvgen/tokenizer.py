@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,17 +29,15 @@ from .numerics import (
     OptimizerConfig,
     Parameter,
     Tensor,
-    adamw_update,
     as_tensor,
-    clip_grad_norm,
     conv2d,
     conv_transpose2d,
-    lr_at,
     no_grad,
     relu,
     resize_bilinear,
     resize_bilinear_np,
     stop_gradient,
+    train_loop,
 )
 from .rng import rng_for
 
@@ -223,10 +221,6 @@ class TokenizerModel:
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
     # -- network pieces --------------------------------------------------
 
     def encoder_forward(self, x: Tensor) -> Tensor:
@@ -304,25 +298,31 @@ def _check_pyramid(pyramid: TokenPyramid, model: TokenizerModel) -> None:
             raise ContractError("token index out of codebook range")
 
 
+def _walk(model: TokenizerModel, images: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
+    """The no-grad coarse-to-fine walk over (B, R, R) images -> (encoder output,
+    per scale (fk, indices, codes, residual after the scale's subtraction))."""
+    dtype = model.config.np_dtype()
+    emb = model.codebook.embeddings
+    n_latent = model.schedule.latent_size
+    scales = []
+    with no_grad():
+        latent = model.encoder_forward(as_tensor(images[:, None, :, :].astype(dtype))).values
+        f = latent
+        for k, n in enumerate(model.schedule.sizes):
+            fk = resize_bilinear_np(f, n, n)
+            idx = _quantize_grid(fk, emb)
+            zq = _lookup(idx, emb).astype(dtype)
+            f = f - model.phi(k, as_tensor(resize_bilinear_np(zq, n_latent, n_latent))).values
+            scales.append((fk, idx, zq, f))
+    return latent, scales
+
+
 def encode_batch(model: TokenizerModel, images: np.ndarray) -> list[np.ndarray]:
     """(B, R, R) -> per-scale index grids [(B, n_k, n_k)]."""
     r = model.config.resolution
     if images.ndim != 3 or images.shape[1:] != (r, r):
         raise ContractError(f"expected (B, {r}, {r}) images")
-    dtype = model.config.np_dtype()
-    emb = model.codebook.embeddings
-    with no_grad():
-        x = as_tensor(images[:, None, :, :].astype(dtype))
-        f = model.encoder_forward(x).values
-        n_latent = model.schedule.latent_size
-        grids = []
-        for k, n in enumerate(model.schedule.sizes):
-            fk = resize_bilinear_np(f, n, n)
-            idx = _quantize_grid(fk, emb)
-            grids.append(idx)
-            z_up = resize_bilinear_np(_lookup(idx, emb).astype(dtype), n_latent, n_latent)
-            f = f - model.phi(k, as_tensor(z_up)).values
-    return grids
+    return [idx for _, idx, _, _ in _walk(model, images)[1]]
 
 
 def encode(x: np.ndarray, model: TokenizerModel) -> TokenPyramid:
@@ -386,21 +386,8 @@ class StAnchor:
 
 def st_anchors(model: TokenizerModel, batch: np.ndarray) -> list[StAnchor]:
     """Capture straight-through anchors for `batch` at the current weights."""
-    cfg = model.config
-    dtype = cfg.np_dtype()
-    emb = model.codebook.embeddings
-    n_latent = model.schedule.latent_size
-    anchors = []
-    with no_grad():
-        f = model.encoder_forward(as_tensor(batch[:, None, :, :].astype(dtype))).values
-        latent = f
-        for k, n in enumerate(model.schedule.sizes):
-            fk = resize_bilinear_np(f, n, n)
-            zq = _lookup(_quantize_grid(fk, emb), emb).astype(dtype)
-            anchors.append(StAnchor(offset=zq - fk, codes=zq, latent=latent))
-            contrib = model.phi(k, as_tensor(resize_bilinear_np(zq, n_latent, n_latent))).values
-            f = f - contrib
-    return anchors
+    latent, scales = _walk(model, batch)
+    return [StAnchor(offset=zq - fk, codes=zq, latent=latent) for fk, _, zq, _ in scales]
 
 
 def training_graph(model: TokenizerModel, batch: np.ndarray,
@@ -515,31 +502,19 @@ def train_tokenizer(train_images: np.ndarray, model: TokenizerModel,
                     seed: int = 0, start_step: int = 0, warm_start: bool = True,
                     log_every: int = 25) -> list[tuple[int, float, float]]:
     """AdamW training loop; returns the (step, lr, loss) curve."""
-    if train_images.shape[0] == 0:
-        raise ContractError("training corpus is empty")
-    scaled = opt.scaled_for_batch(batch_size)
-    params = model.parameters()
-    curve = []
     n = train_images.shape[0]
-    for step in range(start_step, start_step + steps):
-        idx = rng_for(seed, "batch", step).integers(0, n, size=batch_size)
-        batch = train_images[idx]
+    if n == 0:
+        raise ContractError("training corpus is empty")
+
+    def loss_at(step):
+        batch = train_images[rng_for(seed, "batch", step).integers(0, n, size=batch_size)]
         if step == 0 and warm_start:
             init_codebook_from_data(model, batch, seed)
-        model.zero_grad()
-        try:
-            loss, stats = training_graph(model, batch)
-            loss.backward()
-        except NumericError as err:
-            raise NumericError(f"tokenizer training diverged at step {step}: {err}") from err
-        clip_grad_norm(params, scaled.grad_clip_norm)
-        lr = lr_at(step, scaled)
-        for p in params:
-            adamw_update(p, lr, scaled)
-        _ema_update(model, stats, step, seed)
-        if step % log_every == 0 or step == start_step + steps - 1:
-            curve.append((step, lr, loss.item()))
-    return curve
+        loss, stats = training_graph(model, batch)
+        return loss, lambda: _ema_update(model, stats, step, seed)
+
+    return train_loop(model.parameters(), opt, batch_size, steps, start_step, log_every,
+                      "tokenizer", loss_at)
 
 
 def residual_energies(model: TokenizerModel, images: np.ndarray) -> list[float]:
@@ -548,19 +523,7 @@ def residual_energies(model: TokenizerModel, images: np.ndarray) -> list[float]:
     On trained models the sequence is expected to be non-increasing: every
     scale's quantized refinement removes part of what remains.
     """
-    dtype = model.config.np_dtype()
-    emb = model.codebook.embeddings
-    n_latent = model.schedule.latent_size
-    energies = []
-    with no_grad():
-        f = model.encoder_forward(as_tensor(images[:, None, :, :].astype(dtype))).values
-        for k, n in enumerate(model.schedule.sizes):
-            fk = resize_bilinear_np(f, n, n)
-            idx = _quantize_grid(fk, emb)
-            z_up = resize_bilinear_np(_lookup(idx, emb).astype(dtype), n_latent, n_latent)
-            f = f - model.phi(k, as_tensor(z_up)).values
-            energies.append(float((f.astype(np.float64) ** 2).mean()))
-    return energies
+    return [float((f.astype(np.float64) ** 2).mean()) for *_, f in _walk(model, images)[1]]
 
 
 def reconstruction_mse(model: TokenizerModel, images: np.ndarray,
@@ -668,42 +631,17 @@ def read_token_stream(path: str | os.PathLike) -> tuple[TokenPyramid, int]:
 def save_tokenizer(path: str | os.PathLike, model: TokenizerModel,
                    extra_config: dict | None = None, train_step: int | None = None,
                    optimizer_state: bool = False) -> None:
-    config = dataclasses.asdict(model.config)
-    config["kind"] = "tokenizer"
-    if extra_config:
-        config.update(extra_config)
-    if train_step is not None:
-        config["train_step"] = train_step
-    arrays: dict[str, np.ndarray] = {}
-    for name, p in model.params.items():
-        arrays[name] = p.values
-        if optimizer_state:
-            arrays[f"opt.{name}.m"] = p.m
-            arrays[f"opt.{name}.v"] = p.v
-            arrays[f"opt.{name}.step"] = np.array(float(p.step))
-    arrays["codebook.embeddings"] = model.codebook.embeddings
-    arrays["codebook.ema_counts"] = model.codebook.ema_counts
-    arrays["codebook.ema_sums"] = model.codebook.ema_sums
-    ckpt.write_checkpoint(path, config, arrays)
+    arrays = ckpt.param_arrays(model.params, optimizer_state)
+    for name in ("embeddings", "ema_counts", "ema_sums"):
+        arrays[f"codebook.{name}"] = getattr(model.codebook, name)
+    ckpt.save_model(path, "tokenizer", model.config, arrays, extra_config, train_step)
 
 
 def load_tokenizer(path: str | os.PathLike) -> tuple[TokenizerModel, dict]:
-    config, arrays = ckpt.read_checkpoint(path)
-    if config.get("kind") != "tokenizer":
-        raise ValueError("checkpoint does not hold a tokenizer")
-    fields = {f.name for f in dataclasses.fields(TokenizerConfig)}
-    cfg = TokenizerConfig(**{k: v for k, v in config.items() if k in fields})
-    if isinstance(cfg.schedule, list):  # JSON round-trip
-        cfg = dataclasses.replace(cfg, schedule=tuple(cfg.schedule))
+    cfg, config, arrays = ckpt.load_model(path, "tokenizer", TokenizerConfig)
     model = TokenizerModel.create(cfg, seed=0)
     dtype = cfg.np_dtype()
-    for name, p in model.params.items():
-        p.values = arrays[name].astype(dtype)
-        if f"opt.{name}.m" in arrays:
-            p.m = arrays[f"opt.{name}.m"].astype(dtype)
-            p.v = arrays[f"opt.{name}.v"].astype(dtype)
-            p.step = int(arrays[f"opt.{name}.step"].reshape(-1)[0])
-    model.codebook.embeddings = arrays["codebook.embeddings"].astype(dtype)
-    model.codebook.ema_counts = arrays["codebook.ema_counts"].astype(dtype)
-    model.codebook.ema_sums = arrays["codebook.ema_sums"].astype(dtype)
+    ckpt.load_params(model.params, arrays, dtype)
+    for name in ("embeddings", "ema_counts", "ema_sums"):
+        setattr(model.codebook, name, arrays[f"codebook.{name}"].astype(dtype))
     return model, config

@@ -1,7 +1,10 @@
+import io
+
 import numpy as np
 import pytest
 
 from mvgen import checkpoint as ckpt
+from mvgen.tokenizer import TokenizerConfig
 
 
 def test_roundtrip_bit_exact_float32(tmp_path):
@@ -60,3 +63,55 @@ def test_checkpoint_hash_stable(tmp_path):
     path = tmp_path / "c.mvckpt"
     ckpt.write_checkpoint(path, {"x": 1}, {"w": np.zeros(3, dtype=np.float32)})
     assert ckpt.checkpoint_hash(path) == ckpt.checkpoint_hash(path)
+
+
+def _blob():
+    return ckpt.encode_checkpoint({"kind": "test"}, {"w": np.arange(6, dtype=np.float32)})
+
+
+@pytest.mark.parametrize("blob,needle", [
+    (b"garbage\n", "not an MVCKPT"),
+    (b"MVCKPT" + (2).to_bytes(4, "little") + bytes(8), "version 2"),
+    (_blob()[:30], "header of 75 bytes"),
+    (_blob()[:-4], "runs past the end"),
+    (b"MVCKPT" + (1).to_bytes(4, "little") + (3).to_bytes(8, "little") + b"{x}", "header"),
+], ids=["bad-magic", "bad-version", "short-header", "short-payload", "bad-json"])
+def test_unreadable_checkpoint_raises_artifact_error(blob, needle):
+    with pytest.raises(ckpt.ArtifactError, match=needle):
+        ckpt.decode_checkpoint(blob)
+    assert issubclass(ckpt.ArtifactError, ValueError)
+
+
+def test_read_names_the_file_and_missing_section_is_artifact_error(tmp_path):
+    path = tmp_path / "short.mvckpt"
+    path.write_bytes(_blob()[:-4])
+    with pytest.raises(ckpt.ArtifactError, match="short.mvckpt"):
+        ckpt.read_checkpoint(path)
+    _, arrays = ckpt.decode_checkpoint(_blob())
+    with pytest.raises(ckpt.ArtifactError, match="no section 'b'"):
+        arrays["b"]
+
+
+def test_load_model_rejects_wrong_kind(tmp_path):
+    path = tmp_path / "c.mvckpt"
+    ckpt.write_checkpoint(path, {"kind": "prior"}, {"x": np.zeros(2)})
+    with pytest.raises(ckpt.ArtifactError, match="holds a prior, not a tokenizer"):
+        ckpt.load_model(path, "tokenizer", TokenizerConfig)
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "c.mvckpt"
+    ckpt.write_checkpoint(path, {"step": 1}, {"w": np.zeros(64, dtype=np.float32)})
+    before = path.read_bytes()
+
+    class HalfFile(io.FileIO):
+        def write(self, data):
+            super().write(data[:len(data) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(ckpt, "open", HalfFile, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        ckpt.write_checkpoint(path, {"step": 2}, {"w": np.ones(64, dtype=np.float32)})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.mvckpt"]

@@ -191,6 +191,68 @@ class TestTrain:
         assert out.returncode == 2
         assert "schedule" in out.stderr
 
+    def test_prior_resume_is_bit_exact(self, workdir, tmp_path):
+        write_json(tmp_path / "corpus.json", SMALL_CORPUS)
+        run_cli("datagen", "--workdir", str(tmp_path), "--config", str(tmp_path / "corpus.json"))
+        (tmp_path / "tokenizer.mvckpt").write_bytes((workdir / "tokenizer.mvckpt").read_bytes())
+        # uninterrupted 30 steps, then interrupted at 15 and resumed to 30
+        full = dict(SMALL_PRIOR, checkpoint="full.mvckpt", loss_csv="full.csv")
+        half = dict(SMALL_PRIOR, checkpoint="half.mvckpt", loss_csv="half.csv")
+        write_json(tmp_path / "full.json", full)
+        write_json(tmp_path / "p15.json", dict(half, steps=15))
+        write_json(tmp_path / "p30.json", half)
+        for config, resume in (("full.json", ()), ("p15.json", ()),
+                               ("p30.json", ("--resume", str(tmp_path / "half.mvckpt")))):
+            out = run_cli("train", "prior", "--workdir", str(tmp_path),
+                          "--config", str(tmp_path / config), *resume)
+            assert out.returncode == 0, out.stderr
+        assert (tmp_path / "half.mvckpt").read_bytes() == (tmp_path / "full.mvckpt").read_bytes()
+        full_csv = (tmp_path / "full.csv").read_text().splitlines()
+        resumed_csv = (tmp_path / "half.csv").read_text().splitlines()
+        # the resumed CSV covers steps 15..29; its rows must match the full run's tail
+        assert len(full_csv) == 1 + 30 and full_csv[16:] == resumed_csv[1:]
+
+    def test_save_every_zero_exits_2(self, tmp_path):
+        write_json(tmp_path / "corpus.json", dict(SMALL_CORPUS, per_label=2))
+        run_cli("datagen", "--workdir", str(tmp_path), "--config", str(tmp_path / "corpus.json"))
+        write_json(tmp_path / "t.json", dict(SMALL_TOKENIZER, save_every=0))
+        out = run_cli("train", "tokenizer", "--workdir", str(tmp_path),
+                      "--config", str(tmp_path / "t.json"))
+        assert out.returncode == 2
+        assert "save_every" in out.stderr
+
+
+class TestBadCheckpoint:
+    """An unreadable or wrong-kind checkpoint exits 2 with one error line."""
+
+    @staticmethod
+    def assert_rejected(out, needle):
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        assert needle in out.stderr
+
+    def test_garbage_tokenizer(self, tmp_path):
+        (tmp_path / "tokenizer.mvckpt").write_bytes(b"garbage\n")
+        out = run_cli("train", "prior", "--workdir", str(tmp_path))
+        self.assert_rejected(out, "not an MVCKPT checkpoint")
+
+    def test_truncated_tokenizer(self, workdir, tmp_path):
+        blob = (workdir / "tokenizer.mvckpt").read_bytes()
+        (tmp_path / "tokenizer.mvckpt").write_bytes(blob[:-10])
+        out = run_cli("train", "prior", "--workdir", str(tmp_path))
+        self.assert_rejected(out, "runs past the end")
+
+    def test_wrong_kind_resume(self, workdir, tmp_path):
+        write_json(tmp_path / "corpus.json", dict(SMALL_CORPUS, per_label=2))
+        run_cli("datagen", "--workdir", str(tmp_path), "--config", str(tmp_path / "corpus.json"))
+        write_json(tmp_path / "t.json", SMALL_TOKENIZER)
+        out = run_cli("train", "tokenizer", "--workdir", str(tmp_path),
+                      "--config", str(tmp_path / "t.json"),
+                      "--resume", str(workdir / "prior.mvckpt"))
+        self.assert_rejected(out, "holds a prior, not a tokenizer")
+        assert not (tmp_path / "tokenizer.mvckpt").exists()
+
 
 class TestSample:
     def test_deterministic_and_named(self, workdir):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mvgen import prior as pr
-from mvgen.numerics import ContractError, OptimizerConfig
+from mvgen.numerics import ContractError, NumericError, OptimizerConfig, l2_normalize
 from mvgen.tokenizer import PAPER_SCHEDULE, ScaleSchedule, TokenPyramid
 
 
@@ -50,22 +50,25 @@ class TestBuildMask:
 
 
 class TestQkNormalize:
+    """Attention normalizes queries and keys with `numerics.l2_normalize`."""
+
     def test_three_four_five(self):
-        q, _ = pr.qk_normalize(np.array([3.0, 4.0]), np.array([1.0, 0.0]))
+        q = l2_normalize(np.array([3.0, 4.0])).values
         assert np.allclose(q, [0.6, 0.8])
 
     def test_unit_vector_unchanged(self):
         v = np.array([0.0, 1.0])
-        q, k = pr.qk_normalize(v, v)
+        q, k = l2_normalize(v).values, l2_normalize(v).values
         assert np.allclose(q, v) and np.allclose(k, v)
 
     def test_zero_vector_stays_zero(self):
-        q, _ = pr.qk_normalize(np.zeros(3), np.ones(3))
+        q = l2_normalize(np.zeros(3)).values
         assert np.all(q == 0.0)
 
     def test_dot_products_bounded(self):
         rng = np.random.default_rng(0)
-        q, k = pr.qk_normalize(rng.normal(size=(10, 8)), rng.normal(size=(10, 8)))
+        q = l2_normalize(rng.normal(size=(10, 8))).values
+        k = l2_normalize(rng.normal(size=(10, 8))).values
         dots = q @ k.T
         assert np.all(np.abs(dots) <= 1.0 + 1e-12)
 
@@ -232,6 +235,15 @@ class TestTraining:
         opt = OptimizerConfig(peak_lr=3e-3, warmup_steps=10, total_steps=150)
         curve = pr.train_prior(grids, labels, model, opt, steps=150, batch_size=16, seed=4)
         assert curve[-1][2] < curve[0][2] - 0.5
+
+    def test_divergence_names_component_and_step(self):
+        model = make_model()
+        model.params["head.w"].values[:] = np.nan
+        rng = np.random.default_rng(6)
+        grids = [rng.integers(0, 16, size=(8, n, n)) for n in (1, 2, 3)]
+        opt = OptimizerConfig(peak_lr=1e-3, warmup_steps=1, total_steps=5)
+        with pytest.raises(NumericError, match="prior training diverged at step 0"):
+            pr.train_prior(grids, rng.integers(0, 3, size=8), model, opt, steps=1, batch_size=4)
 
     def test_full_condition_dropout_blocks_label_gradient(self):
         # every sample's label replaced by the null slot: real rows get no grad

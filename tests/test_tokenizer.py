@@ -230,6 +230,12 @@ class TestTraining:
         with pytest.raises(ContractError):
             tok.train_tokenizer(np.zeros((0, 8, 8)), tiny_model, opt, steps=1)
 
+    def test_divergence_names_component_and_step(self, tiny_model):
+        opt = OptimizerConfig(peak_lr=1e-3, warmup_steps=1, total_steps=5)
+        with pytest.raises(NumericError, match="tokenizer training diverged at step 0"):
+            tok.train_tokenizer(np.full((4, 8, 8), np.nan), tiny_model, opt, steps=1,
+                                batch_size=2)
+
     def test_dead_code_reseeding_revives(self, tiny_model):
         rng = np.random.default_rng(7)
         images = rng.random((16, 8, 8))
