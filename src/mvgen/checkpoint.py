@@ -21,7 +21,8 @@ VERSION = 1
 
 
 class ArtifactError(ValueError):
-    """An artifact that cannot be read: bad magic or version, cut short, or of the wrong kind."""
+    """An artifact that cannot be read: bad magic or version, cut short,
+    malformed, of the wrong kind, or with a section of the wrong shape."""
 
 
 class _Sections(dict):
@@ -89,13 +90,18 @@ def write_checkpoint(path: str | os.PathLike, config: dict, arrays: dict[str, np
             os.unlink(tmp)
 
 
-def read_checkpoint(path: str | os.PathLike) -> tuple[dict, dict[str, np.ndarray]]:
+def read_artifact(path: str | os.PathLike, decode):
+    """decode(the file's bytes); an ArtifactError names the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
-        return decode_checkpoint(blob)
+        return decode(blob)
     except ArtifactError as err:
         raise ArtifactError(f"{os.fspath(path)}: {err}") from None
+
+
+def read_checkpoint(path: str | os.PathLike) -> tuple[dict, dict[str, np.ndarray]]:
+    return read_artifact(path, decode_checkpoint)
 
 
 def checkpoint_hash(path: str | os.PathLike) -> str:
@@ -118,13 +124,23 @@ def param_arrays(params: dict, optimizer_state: bool) -> dict[str, np.ndarray]:
     return arrays
 
 
+def section(arrays: dict[str, np.ndarray], name: str, shape: tuple, dtype) -> np.ndarray:
+    """Section `name` as dtype; ArtifactError unless it has `shape`."""
+    arr = arrays[name]
+    if arr.shape != tuple(shape):
+        raise ArtifactError(f"checkpoint section {name!r} has shape {arr.shape}, "
+                            f"the model expects {tuple(shape)}")
+    return arr.astype(dtype)
+
+
 def load_params(params: dict, arrays: dict[str, np.ndarray], dtype) -> None:
     """Set each parameter, and its Adam state where saved, from the sections."""
     for name, p in params.items():
-        p.values = arrays[name].astype(dtype)
+        shape = p.values.shape
+        p.values = section(arrays, name, shape, dtype)
         if f"opt.{name}.m" in arrays:
-            p.m = arrays[f"opt.{name}.m"].astype(dtype)
-            p.v = arrays[f"opt.{name}.v"].astype(dtype)
+            p.m = section(arrays, f"opt.{name}.m", shape, dtype)
+            p.v = section(arrays, f"opt.{name}.v", shape, dtype)
             p.step = int(arrays[f"opt.{name}.step"].reshape(-1)[0])
 
 

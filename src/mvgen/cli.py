@@ -119,15 +119,38 @@ class PriorTrainConfig:
         peak_lr=1e-3, warmup_steps=100, total_steps=1500))
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", tuple: "a list of integers"}
+
+
+def _typed(base, data: dict, context: str) -> dict:
+    """data, once each value has the type of base's value for its key: an int
+    also fits a float, a list of ints a tuple; a bool is no int; null fits
+    only a field that defaults to None."""
+    nullable = {f.name for f in dataclasses.fields(base) if f.default is None}
+    for key, value in data.items():
+        kind = type(getattr(base, key))
+        fits = {tuple: isinstance(value, list) and all(type(v) is int for v in value),
+                float: type(value) in (int, float)}.get(kind, type(value) is kind)
+        if not (fits or value is None and key in nullable):
+            raise ConfigError(f"{context}: {key} must be {_TYPE_NAMES[kind]}, "
+                              f"not {json.dumps(value)}")
+    return data
+
+
 def _train_config(cls, data: dict, context: str):
     """A train config from its JSON object over cls's defaults, unknown keys
-    rejected; the optimizer's total_steps follows steps unless it is given."""
+    and mistyped values rejected; the optimizer's total_steps follows steps
+    unless it is given."""
     data = dict(_strict(cls, data, context))
     base = cls()
-    raw_optimizer = data.get("optimizer", {})
-    if "optimizer" in data:
-        data["optimizer"] = dataclasses.replace(
-            base.optimizer, **_strict(OptimizerConfig, raw_optimizer, "optimizer config"))
+    raw_optimizer = data.pop("optimizer", {})
+    if not isinstance(raw_optimizer, dict):
+        raise ConfigError(f"{context}: optimizer must be a JSON object")
+    _typed(base, data, context)
+    if raw_optimizer:
+        data["optimizer"] = dataclasses.replace(base.optimizer, **_typed(
+            base.optimizer, _strict(OptimizerConfig, raw_optimizer, "optimizer config"),
+            "optimizer config"))
     cfg = dataclasses.replace(base, **data)
     if "total_steps" not in raw_optimizer:
         cfg = dataclasses.replace(cfg, optimizer=dataclasses.replace(

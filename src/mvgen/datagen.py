@@ -21,6 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .checkpoint import ArtifactError
 from .numerics import ContractError, resize_bilinear_np, resize_nearest_np
 from .rng import rng_for
 
@@ -88,14 +89,6 @@ class RawSlice:
         if self.modality == MRI and self.intensities.min() < 0:
             raise ContractError("MRI intensities must be non-negative")
 
-    @property
-    def height(self) -> int:
-        return self.intensities.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.intensities.shape[1]
-
 
 @dataclasses.dataclass(frozen=True)
 class Slice:
@@ -109,18 +102,9 @@ class Slice:
         if self.values.min() < 0.0 or self.values.max() > 1.0:
             raise ContractError("slice values must lie in [0, 1]")
 
-    @property
-    def resolution(self) -> int:
-        return self.values.shape[0]
-
 
 def default_labels() -> list[tuple[DatasetLabel, str]]:
-    return [
-        (DatasetLabel(0, NESTED_ELLIPSES), NESTED_ELLIPSES),
-        (DatasetLabel(1, PARALLEL_BANDS), PARALLEL_BANDS),
-        (DatasetLabel(2, RING_WITH_CORE), RING_WITH_CORE),
-        (DatasetLabel(3, LATTICE_OF_BLOBS), LATTICE_OF_BLOBS),
-    ]
+    return [(DatasetLabel(i, family), family) for i, family in enumerate(FAMILIES)]
 
 
 # -- phantom construction -----------------------------------------------------
@@ -458,20 +442,23 @@ def load_corpus(corpus_dir: str | os.PathLike, dtype=np.float32) -> LoadedCorpus
 
     root = os.fspath(corpus_dir)
     manifest = os.path.join(root, "manifest.txt")
-    with open(manifest, "r", encoding="ascii") as fh:
+    with open(manifest, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "MVCORPUS 1":
-        raise ContractError("not an MVCORPUS manifest")
-    records = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        path, label_id, split, seed = line.split("\t")
-        records.append(CorpusRecord(path=path, label_id=int(label_id),
-                                    split=split, seed=int(seed)))
-    images = [pgmio.read_pgm(os.path.join(root, r.path)) for r in records]
+        raise ArtifactError(f"{manifest}: not an MVCORPUS manifest")
     values: dict[str, list[np.ndarray]] = {"train": [], "val": [], "test": []}
     labels: dict[str, list[int]] = {"train": [], "val": [], "test": []}
+    records = []
+    for line in filter(None, lines[1:]):
+        fields = line.split("\t")
+        if (len(fields) != 4 or "/" not in fields[0] or not fields[1].isdigit()
+                or fields[2] not in values or not fields[3].isdigit()):
+            raise ArtifactError(f"{manifest}: malformed line {line!r}")
+        records.append(CorpusRecord(path=fields[0], label_id=int(fields[1]),
+                                    split=fields[2], seed=int(fields[3])))
+    if not records:
+        raise ArtifactError(f"{manifest}: lists no slices")
+    images = [pgmio.read_pgm(os.path.join(root, r.path)) for r in records]
     names: dict[int, str] = {}
     for record, img in zip(records, images):
         values[record.split].append(img)

@@ -16,7 +16,7 @@ import math
 import os
 import platform
 import time
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -41,10 +41,6 @@ class FeatureEmbedder:
     def from_checkpoint(cls, path: str | os.PathLike) -> "FeatureEmbedder":
         model, _ = load_tokenizer(path)
         return cls(model, checkpoint_hash=ckpt.checkpoint_hash(path))
-
-    @property
-    def dim(self) -> int:
-        return self.model.config.embed_dim
 
     def embed(self, images: np.ndarray, chunk: int = 128) -> np.ndarray:
         """(N, R, R) -> (N, C) float64 features."""

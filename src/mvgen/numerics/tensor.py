@@ -153,8 +153,6 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
         return mul(self, 1.0 / float(other))
 
     def __neg__(self):
@@ -245,10 +243,6 @@ def _fast_pow(x: np.ndarray, p: float) -> np.ndarray:
         return x * x
     if p == 3.0:
         return x * x * x
-    if p == -1.0:
-        return 1.0 / x
-    if p == 0.5:
-        return np.sqrt(x)
     return x ** p
 
 
@@ -381,20 +375,16 @@ def index(a, key) -> Tensor:
     return _make(out, (a,), backward, "index")
 
 
-def take(a, indices: np.ndarray, axis: int = 0) -> Tensor:
-    """Gather along an axis with integer indices (embedding lookup)."""
+def take(a, indices: np.ndarray) -> Tensor:
+    """Gather rows with integer indices (embedding lookup)."""
     a = as_tensor(a)
     idx = np.asarray(indices)
-    out = np.take(a.values, idx, axis=axis)
+    out = np.take(a.values, idx, axis=0)
     src_shape = a.values.shape
 
     def backward(g):
         full = np.zeros(src_shape, dtype=g.dtype)
-        if axis == 0:
-            np.add.at(full, idx, g)
-        else:
-            moved = np.moveaxis(full, axis, 0)
-            np.add.at(moved, idx, np.moveaxis(g, axis, 0))
+        np.add.at(full, idx, g)
         a._accum(full)
 
     return _make(out, (a,), backward, "take")

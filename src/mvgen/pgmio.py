@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 
+from .checkpoint import ArtifactError, read_artifact
+
 
 def encode_pgm(values: np.ndarray) -> bytes:
     if values.ndim != 2:
@@ -19,23 +21,27 @@ def encode_pgm(values: np.ndarray) -> bytes:
 def decode_pgm(blob: bytes) -> np.ndarray:
     """Returns values in [0, 1] as float64."""
     if not blob.startswith(b"P5"):
-        raise ValueError("not a binary PGM (P5) file")
+        raise ArtifactError("not a binary PGM (P5) file")
     fields: list[int] = []
     pos = 2
     while len(fields) < 3:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
+        while blob[pos:pos + 1].isspace():
             pos += 1
-        if blob[pos:pos + 1] == b"#":  # comment line
-            pos = blob.index(b"\n", pos) + 1
+        if blob[pos:pos + 1] == b"#":  # comment line, to the end if cut short
+            pos = blob.find(b"\n", pos) + 1 or len(blob)
             continue
         start = pos
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
+        if not blob[start:pos].isdigit():
+            raise ArtifactError(f"PGM header cut short or malformed at byte {start}")
         fields.append(int(blob[start:pos]))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
     if maxval != 255:
-        raise ValueError(f"unsupported PGM maxval {maxval}")
+        raise ArtifactError(f"unsupported PGM maxval {maxval}")
+    if min(w, h) < 1 or len(blob) < pos + h * w:
+        raise ArtifactError(f"PGM of {w}x{h} pixels; the file has {len(blob)} bytes")
     data = np.frombuffer(blob, dtype=np.uint8, count=h * w, offset=pos)
     return data.reshape(h, w).astype(np.float64) / 255.0
 
@@ -46,5 +52,4 @@ def write_pgm(path: str | os.PathLike, values: np.ndarray) -> None:
 
 
 def read_pgm(path: str | os.PathLike) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return decode_pgm(fh.read())
+    return read_artifact(path, decode_pgm)

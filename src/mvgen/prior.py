@@ -4,9 +4,10 @@ The flat sequence concatenates every scale's grid cells coarse to fine.
 Attention is block-causal at scale granularity (a position sees every position
 of its own and all coarser scales), so logits at scale k depend only on grids
 strictly coarser than k plus the dataset-label condition, and the keys and
-values of a finished scale never change: `next_scale_logits` with a
-`ScaleCache` runs only the new scale's rows against them. Inputs for scale 1
-are the condition embedding; inputs for scale k>1 are the sum of the code
+values of a finished scale never change: every forward walks a `ScaleCache`,
+and one that holds the coarser scales runs only the new scale's rows against
+them (a fresh one runs the whole prefix). Inputs for scale 1 are the
+condition embedding; inputs for scale k>1 are the sum of the code
 embeddings of all coarser scales, each upsampled to the finest grid, then
 resized to the scale-k grid and linearly projected (a residual code alone says
 little of the image so far). The sum is of raw codebook rows: the tokenizer's
@@ -82,37 +83,28 @@ class PriorConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
 
-@dataclasses.dataclass(frozen=True)
-class BlockCausalMask:
-    allow: np.ndarray  # (L, L) bool
-
-    @property
-    def length(self) -> int:
-        return self.allow.shape[0]
-
-
 @dataclasses.dataclass
 class ScaleCache:
-    """One condition's coarse-to-fine walk through `next_scale_logits`.
+    """A coarse-to-fine walk through the prior, which every forward runs.
 
     Under the block-causal mask the keys and values of finished scales are
-    final, so a cached call runs only the new scale's rows against them.
-    Holds each block's keys and values for the rows already run, the latent
+    final, so a forward runs only the rows after the scales the cache holds
+    against them; a fresh cache holds none, so the whole prefix runs. Holds
+    each block's keys and values for the rows already run, the latent
     accumulator of upsampled code embeddings, and the number of scales done.
+    `condition` is the one condition a `next_scale_logits` walk is built for.
     """
-    condition: int
+    condition: int | None = None
     scales_done: int = 0
     acc: np.ndarray | None = None
     keys: dict[int, Tensor] = dataclasses.field(default_factory=dict)
     values: dict[int, Tensor] = dataclasses.field(default_factory=dict)
 
 
-def build_mask(schedule: ScaleSchedule) -> BlockCausalMask:
-    """allow[i, j] iff scale(j) <= scale(i); dense within a scale."""
-    scale_of = np.concatenate([np.full(n * n, k, dtype=np.int64)
-                               for k, n in enumerate(schedule.sizes)])
-    allow = scale_of[None, :] <= scale_of[:, None]
-    return BlockCausalMask(allow=allow)
+def build_mask(schedule: ScaleSchedule) -> np.ndarray:
+    """(L, L) bool: [i, j] iff scale(j) <= scale(i); dense within a scale."""
+    scale_of = schedule.scale_of_position()
+    return scale_of[None, :] <= scale_of[:, None]
 
 
 class PriorModel:
@@ -124,11 +116,8 @@ class PriorModel:
         self.schedule = config.scale_schedule
         self.params = params
         self.code_table = np.asarray(code_table, dtype=config.np_dtype())
-        mask = build_mask(self.schedule)
-        self.mask = mask
-        self._mask_bias = np.where(mask.allow, 0.0, MASK_BIAS).astype(config.np_dtype())
-        self._level_ids = np.concatenate([np.full(n * n, k, dtype=np.int64)
-                                          for k, n in enumerate(self.schedule.sizes)])
+        self._mask_bias = np.where(build_mask(self.schedule), 0.0, MASK_BIAS).astype(config.np_dtype())
+        self._level_ids = self.schedule.scale_of_position()
         self._offsets = [0] + [s.stop for s in self.schedule.position_slices()]
 
     @classmethod
@@ -178,22 +167,23 @@ class PriorModel:
 
     def embed_inputs(self, prefix_grids: Sequence[np.ndarray], labels: np.ndarray,
                      cache: ScaleCache | None = None) -> Tensor:
-        """Inputs for scales 1 .. len(prefix)+1; with a cache, for the last alone.
+        """Inputs for the scales after those the cache holds, up to len(prefix)+1.
 
         prefix_grids[j] is the (B, n, n) token grid of scale j+1; labels are
         per-sample condition indices (null index allowed). Scale k>1 sees the
         sum of the upsampled code embeddings of scales 1 .. k-1, accumulated
-        on the finest grid and resized to its own. A cache supplies the sum
-        so far and takes it back grown by the newest grid.
+        on the finest grid and resized to its own. The cache (a fresh one by
+        default) supplies the sum so far and takes it back grown.
         """
         cfg = self.config
+        cache = ScaleCache() if cache is None else cache
         labels = np.asarray(labels, dtype=np.int64)
         if labels.min() < 0 or labels.max() > cfg.null_index:
             raise ContractError("condition index out of range")
         k_active = len(prefix_grids) + 1
         if k_active > self.schedule.num_scales:
             raise ContractError("prefix longer than the schedule allows")
-        first = 0 if cache is None else k_active - 1
+        first = cache.scales_done
         b = labels.shape[0]
         dtype = cfg.np_dtype()
 
@@ -205,20 +195,17 @@ class PriorModel:
                           as_tensor(np.ones((1, n1 * n1, 1), dtype=dtype)))
         n_latent = self.schedule.latent_size
         acc = (np.zeros((b, cfg.code_dim, n_latent, n_latent), dtype=dtype)
-               if cache is None or cache.acc is None else cache.acc)
+               if cache.acc is None else cache.acc)
         for j in range(max(first, 1), k_active):
             n = self.schedule.sizes[j]
             prev = np.asarray(prefix_grids[j - 1])
-            if prev.ndim == 2:
-                prev = prev[None]
             codes = self.code_table[prev].transpose(0, 3, 1, 2)  # (B, C, m, m)
             acc = acc + resize_bilinear_np(codes.astype(dtype), n_latent, n_latent)
             up = resize_bilinear_np(acc, n, n)
             flat = up.transpose(0, 2, 3, 1).reshape(b, n * n, cfg.code_dim)
             pieces.append(as_tensor(flat) @ self.params["input_proj.w"]
                           + self.params["input_proj.b"])
-        if cache is not None:
-            cache.acc = acc
+        cache.acc = acc
         seq = pieces[0] if len(pieces) == 1 else concat(pieces, axis=1)
         start, end = self._offsets[first], self._offsets[k_active]
         rows = end - start
@@ -232,12 +219,11 @@ class PriorModel:
         b = mod.shape[0]
         return [mod[:, i * w:(i + 1) * w].reshape(b, 1, w) for i in range(chunks)]
 
-    def _attention(self, i: int, h_in: Tensor, start: int,
-                   cache: ScaleCache | None = None) -> Tensor:
-        """Block i's attention for the rows from flat position `start` on.
+    def _attention(self, i: int, h_in: Tensor, cache: ScaleCache) -> Tensor:
+        """Block i's attention for the rows after the scales the cache holds.
 
-        With a cache, the rows attend to the cached keys and values ahead of
-        their own, which the cache then keeps.
+        The rows attend to the cached keys and values ahead of their own,
+        which the cache then keeps.
         """
         cfg = self.config
         b, rows = h_in.shape[0], h_in.shape[1]
@@ -250,11 +236,11 @@ class PriorModel:
         q = l2_normalize(project("wq"))
         k = l2_normalize(project("wk"))
         v = project("wv")
-        if cache is not None:
-            if i in cache.keys:
-                k = concat([cache.keys[i], k], axis=2)
-                v = concat([cache.values[i], v], axis=2)
-            cache.keys[i], cache.values[i] = k, v
+        if i in cache.keys:
+            k = concat([cache.keys[i], k], axis=2)
+            v = concat([cache.values[i], v], axis=2)
+        cache.keys[i], cache.values[i] = k, v
+        start = self._offsets[cache.scales_done]
         end = start + rows
         temp = self.params[f"block{i}.temp"].reshape(1, heads, 1, 1)
         scores = (q @ k.transpose(0, 1, 3, 2)) * temp
@@ -263,18 +249,14 @@ class PriorModel:
         mixed = (att @ v).transpose(0, 2, 1, 3).reshape(b, rows, cfg.width)
         return mixed @ self.params[f"block{i}.wo.w"] + self.params[f"block{i}.wo.b"]
 
-    def _run(self, seq: Tensor, cond: Tensor, cache: ScaleCache | None = None) -> Tensor:
-        """(B, L', W) inputs + (B, W) condition -> (B, L', V) logits.
-
-        Without a cache the rows are the sequence from its start; with one,
-        the rows of the scale after those the cache holds.
-        """
-        start = 0 if cache is None else self._offsets[cache.scales_done]
+    def _run(self, seq: Tensor, cond: Tensor, cache: ScaleCache) -> Tensor:
+        """(B, L', W) inputs + (B, W) condition -> (B, L', V) logits for the
+        rows after the scales the cache holds."""
         x = seq
         for i in range(self.config.depth):
             g1, b1, a1, g2, b2, a2 = self._modulation(cond, f"block{i}.adaln", 6)
             h = layernorm(x) * (g1 + 1.0) + b1
-            x = x + a1 * self._attention(i, h, start, cache)
+            x = x + a1 * self._attention(i, h, cache)
             h = layernorm(x) * (g2 + 1.0) + b2
             ffn = gelu(h @ self.params[f"block{i}.ffn1.w"] + self.params[f"block{i}.ffn1.b"])
             ffn = ffn @ self.params[f"block{i}.ffn2.w"] + self.params[f"block{i}.ffn2.b"]
@@ -288,32 +270,32 @@ class PriorModel:
         if tuple(g.shape[-1] for g in grids) != self.schedule.sizes:
             raise ContractError("pyramid does not match the schedule")
         labels = np.asarray(labels, dtype=np.int64)
-        seq = self.embed_inputs([np.asarray(g) for g in grids[:-1]], labels)
-        cond = take(self.params["cond_emb"], labels)
-        return self._run(seq, cond)
+        cache = ScaleCache()
+        seq = self.embed_inputs([np.asarray(g) for g in grids[:-1]], labels, cache)
+        return self._run(seq, take(self.params["cond_emb"], labels), cache)
 
     def next_scale_logits(self, prefix_grids: Sequence[np.ndarray], c: int,
                           cache: ScaleCache | None = None) -> np.ndarray:
         """Logits (n_k^2, V) for the scale following the prefix (single sample).
 
-        Without a cache the whole prefix runs again. With one, built for c
-        and holding the len(prefix) scales before, only the new scale's rows
-        run, and the cache advances by that scale; the logits are the same.
+        Without a cache a fresh one runs the whole prefix. A caller's cache
+        must be built for c and hold the len(prefix) scales before; then only
+        the new scale's rows run. Either way the cache advances past that
+        scale, and the logits are the same.
         """
         k = len(prefix_grids)
-        if cache is not None:
-            if cache.condition != c:
-                raise ContractError(f"cache built for condition {cache.condition}, not {c}")
-            if cache.scales_done != k:
-                raise ContractError(f"cache holds {cache.scales_done} scales, "
-                                    f"the prefix {k}")
+        if cache is None:
+            cache = ScaleCache(c)
+        elif cache.condition != c:
+            raise ContractError(f"cache built for condition {cache.condition}, not {c}")
+        elif cache.scales_done != k:
+            raise ContractError(f"cache holds {cache.scales_done} scales, the prefix {k}")
         with no_grad():
             seq = self.embed_inputs([np.asarray(g)[None] for g in prefix_grids],
                                     np.array([c]), cache)
             cond = take(self.params["cond_emb"], np.array([c]))
             logits = self._run(seq, cond, cache).values[0]
-        if cache is not None:
-            cache.scales_done += 1
+        cache.scales_done = k + 1
         n = self.schedule.sizes[k]
         return logits[-n * n:]
 
@@ -378,8 +360,7 @@ def per_token_loss(model: PriorModel, grids: Sequence[np.ndarray], labels: np.nd
 
 def _realized_logprob(logits: np.ndarray, flat: np.ndarray) -> float:
     """Sum over rows of the log-softmax value at each row's realized index."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logp = log_softmax(logits).values
     return float(logp[np.arange(flat.size), flat].sum())
 
 
@@ -410,6 +391,7 @@ def save_prior(path: str | os.PathLike, model: PriorModel,
 def load_prior(path: str | os.PathLike) -> tuple[PriorModel, dict]:
     cfg, config, arrays = ckpt.load_model(path, "prior", PriorConfig)
     dtype = cfg.np_dtype()
-    model = PriorModel.create(cfg, arrays["code_table"].astype(dtype), seed=0)
+    code_table = ckpt.section(arrays, "code_table", (cfg.vocab_size, cfg.code_dim), dtype)
+    model = PriorModel.create(cfg, code_table, seed=0)
     ckpt.load_params(model.params, arrays, dtype)
     return model, config

@@ -132,13 +132,14 @@ def sample_scale(model: PriorModel, prefix: list[np.ndarray], c: int, cfg: Sampl
     """Draw the next scale's grid; returns (grid, forward passes used).
 
     `caches` are the (condition, null condition) caches of a walk holding
-    the prefix's scales; without them each pass runs the whole prefix again.
+    the prefix's scales; without them each pass runs the whole prefix in a
+    fresh cache.
     """
     k = len(prefix)
     n = model.schedule.sizes[k]
     if cfg.top_k is not None and cfg.top_k > model.config.vocab_size:
         raise ContractError("top_k exceeds the vocabulary size")
-    cache, null_cache = caches if caches is not None else (None, None)
+    cache, null_cache = caches or (None, None)
     cond_logits = model.next_scale_logits(prefix, c, cache=cache)
     passes = 1
     if cfg.cfg_scale is None:

@@ -73,6 +73,10 @@ class ScaleSchedule:
     def token_count(self) -> int:
         return sum(n * n for n in self.sizes)
 
+    def scale_of_position(self) -> np.ndarray:
+        """Scale index (0-based) of each flat-sequence position."""
+        return np.repeat(np.arange(self.num_scales, dtype=np.int64), [n * n for n in self.sizes])
+
     def position_slices(self) -> list[slice]:
         """Flat-sequence slice occupied by each scale."""
         out, start = [], 0
@@ -103,10 +107,6 @@ class Codebook:
     @property
     def vocab_size(self) -> int:
         return self.embeddings.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.embeddings.shape[1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,16 +188,13 @@ class TokenizerModel:
         dtype = config.np_dtype()
         params: dict[str, Parameter] = {}
 
-        def conv_param(name, cout, cin, k):
-            rng = rng_for(seed, "tokenizer", name)
+        def kernel(name, cin, cout, k, transposed=False):
+            """He-normal weights over the cin * k * k fan-in, zero bias; a
+            transposed conv keeps its kernel as (cin, cout, k, k)."""
+            shape = (cin, cout, k, k) if transposed else (cout, cin, k, k)
             std = math.sqrt(2.0 / (cin * k * k))
-            params[f"{name}.w"] = Parameter(rng.normal(0, std, size=(cout, cin, k, k)).astype(dtype))
-            params[f"{name}.b"] = Parameter(np.zeros(cout, dtype=dtype))
-
-        def deconv_param(name, cin, cout, k):
-            rng = rng_for(seed, "tokenizer", name)
-            std = math.sqrt(2.0 / (cin * k * k))
-            params[f"{name}.w"] = Parameter(rng.normal(0, std, size=(cin, cout, k, k)).astype(dtype))
+            params[f"{name}.w"] = Parameter(rng_for(seed, "tokenizer", name)
+                                            .normal(0, std, size=shape).astype(dtype))
             params[f"{name}.b"] = Parameter(np.zeros(cout, dtype=dtype))
 
         # 4x4 stride-2 kernels cover the plane evenly (no checkerboard on the
@@ -205,15 +202,15 @@ class TokenizerModel:
         widths = config.stage_widths()
         cin = 1
         for i, cout in enumerate(widths):
-            conv_param(f"enc{i}", cout, cin, 4)
+            kernel(f"enc{i}", cin, cout, 4)
             cin = cout
         rev = [1] + widths[:-1]
         cin = widths[-1]
         for i, cout in enumerate(reversed(rev)):
-            deconv_param(f"dec{i}", cin, cout, 4)
+            kernel(f"dec{i}", cin, cout, 4, transposed=True)
             cin = cout
         for k in range(config.scale_schedule.num_scales):
-            conv_param(f"phi{k}", config.embed_dim, config.embed_dim, 3)
+            kernel(f"phi{k}", config.embed_dim, config.embed_dim, 3)
 
         codebook = Codebook.create(config.vocab_size, config.embed_dim, seed, dtype)
         return cls(config, params, codebook)
@@ -298,21 +295,26 @@ def _check_pyramid(pyramid: TokenPyramid, model: TokenizerModel) -> None:
             raise ContractError("token index out of codebook range")
 
 
+def _refinement(model: TokenizerModel, k: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale k's codes for indices idx, and their refinement phi_k(up(codes)) (no grad)."""
+    n_latent = model.schedule.latent_size
+    zq = _lookup(idx, model.codebook.embeddings).astype(model.config.np_dtype())
+    return zq, model.phi(k, as_tensor(resize_bilinear_np(zq, n_latent, n_latent))).values
+
+
 def _walk(model: TokenizerModel, images: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
     """The no-grad coarse-to-fine walk over (B, R, R) images -> (encoder output,
     per scale (fk, indices, codes, residual after the scale's subtraction))."""
     dtype = model.config.np_dtype()
-    emb = model.codebook.embeddings
-    n_latent = model.schedule.latent_size
     scales = []
     with no_grad():
         latent = model.encoder_forward(as_tensor(images[:, None, :, :].astype(dtype))).values
         f = latent
         for k, n in enumerate(model.schedule.sizes):
             fk = resize_bilinear_np(f, n, n)
-            idx = _quantize_grid(fk, emb)
-            zq = _lookup(idx, emb).astype(dtype)
-            f = f - model.phi(k, as_tensor(resize_bilinear_np(zq, n_latent, n_latent))).values
+            idx = _quantize_grid(fk, model.codebook.embeddings)
+            zq, refinement = _refinement(model, k, idx)
+            f = f - refinement
             scales.append((fk, idx, zq, f))
     return latent, scales
 
@@ -337,18 +339,15 @@ def decode_batch(model: TokenizerModel, grids: Sequence[np.ndarray],
     upto_scale reconstructs from the first k scales only (1-based count).
     """
     k_max = len(grids) if upto_scale is None else upto_scale
-    dtype = model.config.np_dtype()
-    emb = model.codebook.embeddings
     n_latent = model.schedule.latent_size
     b = grids[0].shape[0]
     with no_grad():
-        f = np.zeros((b, model.config.embed_dim, n_latent, n_latent), dtype=dtype)
+        f = np.zeros((b, model.config.embed_dim, n_latent, n_latent), dtype=model.config.np_dtype())
         for k in range(k_max):
             idx = np.asarray(grids[k])
             if idx.size and idx.max() >= model.codebook.vocab_size:
                 raise ContractError("token index out of codebook range")
-            z_up = resize_bilinear_np(_lookup(idx, emb).astype(dtype), n_latent, n_latent)
-            f = f + model.phi(k, as_tensor(z_up)).values
+            f = f + _refinement(model, k, idx)[1]
         out = model.decoder_forward(as_tensor(f)).values[:, 0]
     return np.clip(out, 0.0, 1.0)
 
@@ -526,29 +525,25 @@ def residual_energies(model: TokenizerModel, images: np.ndarray) -> list[float]:
     return [float((f.astype(np.float64) ** 2).mean()) for *_, f in _walk(model, images)[1]]
 
 
+def _squared_errors(model: TokenizerModel, images: np.ndarray, chunk: int,
+                    upto_scale: int | None = None):
+    """(recon - image)^2 for each chunk of images, encoded and decoded."""
+    for lo in range(0, images.shape[0], chunk):
+        part = images[lo:lo + chunk]
+        yield (decode_batch(model, encode_batch(model, part), upto_scale=upto_scale) - part) ** 2
+
+
 def reconstruction_mse(model: TokenizerModel, images: np.ndarray,
                        upto_scale: int | None = None, chunk: int = 64) -> float:
     """Mean squared reconstruction error over a slice set."""
-    total, count = 0.0, 0
-    for lo in range(0, images.shape[0], chunk):
-        part = images[lo:lo + chunk]
-        grids = encode_batch(model, part)
-        recon = decode_batch(model, grids, upto_scale=upto_scale)
-        total += float(((recon - part) ** 2).sum())
-        count += part.size
-    return total / count
+    return sum(float(sq.sum()) for sq in _squared_errors(model, images, chunk, upto_scale)) / images.size
 
 
 def reconstruction_psnr(model: TokenizerModel, images: np.ndarray, chunk: int = 64) -> float:
     """Mean per-image PSNR (dB) of encode->decode against the originals."""
-    psnrs = []
-    for lo in range(0, images.shape[0], chunk):
-        part = images[lo:lo + chunk]
-        grids = encode_batch(model, part)
-        recon = decode_batch(model, grids)
-        mse = ((recon - part) ** 2).mean(axis=(1, 2))
-        psnrs.extend(10.0 * np.log10(1.0 / np.maximum(mse, 1e-12)))
-    return float(np.mean(psnrs))
+    return float(np.mean(np.concatenate([
+        10.0 * np.log10(1.0 / np.maximum(sq.mean(axis=(1, 2)), 1e-12))
+        for sq in _squared_errors(model, images, chunk)])))
 
 
 def codebook_usage(model: TokenizerModel, images: np.ndarray,
@@ -594,24 +589,22 @@ def tokens_to_bytes(pyramid: TokenPyramid, vocab_size: int) -> bytes:
 
 def tokens_from_bytes(blob: bytes) -> tuple[TokenPyramid, int]:
     if blob[:4] != MVTK_MAGIC:
-        raise ValueError("not an MVTK token stream")
+        raise ckpt.ArtifactError("not an MVTK token stream")
     version = int.from_bytes(blob[4:8], "little")
     if version != MVTK_VERSION:
-        raise ValueError(f"unsupported MVTK version {version}")
+        raise ckpt.ArtifactError(f"unsupported MVTK version {version}")
     k = int.from_bytes(blob[8:12], "little")
-    pos = 12
-    sizes = []
-    for _ in range(k):
-        sizes.append(int.from_bytes(blob[pos:pos + 4], "little"))
-        pos += 4
-    vocab = int.from_bytes(blob[pos:pos + 4], "little")
-    pos += 4
+    pos = 16 + 4 * k
+    if len(blob) < pos:
+        raise ckpt.ArtifactError(f"MVTK header of {k} scales; the stream has {len(blob)} bytes")
+    *sizes, vocab = (int(w) for w in np.frombuffer(blob, dtype="<u4", count=k + 1, offset=12))
+    if len(blob) < pos + 2 * sum(n * n for n in sizes):
+        raise ckpt.ArtifactError(f"MVTK grids {sizes} run past the end ({len(blob)} bytes)")
     grids = []
     for n in sizes:
-        count = n * n
-        arr = np.frombuffer(blob, dtype="<u2", count=count, offset=pos)
+        arr = np.frombuffer(blob, dtype="<u2", count=n * n, offset=pos)
         grids.append(arr.reshape(n, n).astype(np.int64))
-        pos += count * 2
+        pos += 2 * n * n
     return TokenPyramid(tuple(grids)), vocab
 
 
@@ -621,8 +614,7 @@ def write_token_stream(path: str | os.PathLike, pyramid: TokenPyramid, vocab_siz
 
 
 def read_token_stream(path: str | os.PathLike) -> tuple[TokenPyramid, int]:
-    with open(path, "rb") as fh:
-        return tokens_from_bytes(fh.read())
+    return ckpt.read_artifact(path, tokens_from_bytes)
 
 
 # -- checkpointing ---------------------------------------------------------------
@@ -643,5 +635,6 @@ def load_tokenizer(path: str | os.PathLike) -> tuple[TokenizerModel, dict]:
     dtype = cfg.np_dtype()
     ckpt.load_params(model.params, arrays, dtype)
     for name in ("embeddings", "ema_counts", "ema_sums"):
-        setattr(model.codebook, name, arrays[f"codebook.{name}"].astype(dtype))
+        shape = getattr(model.codebook, name).shape
+        setattr(model.codebook, name, ckpt.section(arrays, f"codebook.{name}", shape, dtype))
     return model, config

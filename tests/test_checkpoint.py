@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mvgen import checkpoint as ckpt
+from mvgen.numerics import Parameter
 from mvgen.tokenizer import TokenizerConfig
 
 
@@ -115,3 +116,16 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.mvckpt"]
+
+
+def test_section_of_the_wrong_shape_is_artifact_error():
+    params = {"w": Parameter(np.zeros((2, 3)))}
+    with pytest.raises(ckpt.ArtifactError, match=r"'w' has shape \(3, 3\), the model expects \(2, 3\)"):
+        ckpt.load_params(params, {"w": np.zeros((3, 3))}, np.float64)
+    arrays = {"w": np.ones((2, 3)), "opt.w.m": np.zeros(6), "opt.w.v": np.zeros((2, 3)),
+              "opt.w.step": np.array([4.0])}
+    with pytest.raises(ckpt.ArtifactError, match="'opt.w.m' has shape"):
+        ckpt.load_params(params, arrays, np.float64)
+    arrays["opt.w.m"] = np.zeros((2, 3))
+    ckpt.load_params(params, arrays, np.float64)
+    assert params["w"].values.sum() == 6.0 and params["w"].step == 4

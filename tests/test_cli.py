@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from mvgen import pgmio
+from mvgen import checkpoint as ckpt
+from mvgen import cli, pgmio
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -222,26 +223,59 @@ class TestTrain:
         assert "save_every" in out.stderr
 
 
+def assert_rejected(out, needle):
+    """Exit 2 with one `error:` line holding needle, and no traceback."""
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert needle in out.stderr
+
+
+class TestConfigTypes:
+    """A train-config value of the wrong type exits 2 before anything runs."""
+
+    @pytest.mark.parametrize("component,config,needle", [
+        ("tokenizer", {"steps": "40"}, 'steps must be an integer, not "40"'),
+        ("prior", {"batch_size": True}, "batch_size must be an integer, not true"),
+        ("tokenizer", {"beta_commit": "0.25"}, 'beta_commit must be a number, not "0.25"'),
+        ("prior", {"dtype": 32}, "dtype must be a string, not 32"),
+        ("tokenizer", {"schedule": [1, 2.5]}, "schedule must be a list of integers, not [1, 2.5]"),
+        ("tokenizer", {"optimizer": {"peak_lr": "high"}}, 'peak_lr must be a number, not "high"'),
+        ("prior", {"optimizer": {"warmup_steps": 5.0}}, "warmup_steps must be an integer, not 5.0"),
+    ])
+    def test_mistyped_value_exits_2(self, tmp_path, component, config, needle):
+        write_json(tmp_path / "c.json", config)
+        out = run_cli("train", component, "--workdir", str(tmp_path),
+                      "--config", str(tmp_path / "c.json"))
+        assert_rejected(out, needle)
+
+    def test_int_for_float_list_for_tuple_and_null_default_accepted(self):
+        cfg = cli._train_config(cli.TokenizerTrainConfig, {
+            "beta_commit": 1, "schedule": [1, 2], "optimizer": {"min_lr": None, "peak_lr": 1}},
+            "tokenizer training config")
+        assert cfg.beta_commit == 1 and cfg.schedule == [1, 2]
+        assert cfg.optimizer.peak_lr == 1 and cfg.optimizer.min_lr == 0.01
+
+    def test_optimizer_must_be_an_object(self, tmp_path):
+        write_json(tmp_path / "c.json", {"optimizer": 3})
+        out = run_cli("train", "tokenizer", "--workdir", str(tmp_path),
+                      "--config", str(tmp_path / "c.json"))
+        assert_rejected(out, "optimizer must be a JSON object")
+
+
 class TestBadCheckpoint:
     """An unreadable or wrong-kind checkpoint exits 2 with one error line."""
-
-    @staticmethod
-    def assert_rejected(out, needle):
-        assert out.returncode == 2
-        assert "Traceback" not in out.stderr
-        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
-        assert needle in out.stderr
 
     def test_garbage_tokenizer(self, tmp_path):
         (tmp_path / "tokenizer.mvckpt").write_bytes(b"garbage\n")
         out = run_cli("train", "prior", "--workdir", str(tmp_path))
-        self.assert_rejected(out, "not an MVCKPT checkpoint")
+        assert_rejected(out, "not an MVCKPT checkpoint")
 
     def test_truncated_tokenizer(self, workdir, tmp_path):
         blob = (workdir / "tokenizer.mvckpt").read_bytes()
         (tmp_path / "tokenizer.mvckpt").write_bytes(blob[:-10])
         out = run_cli("train", "prior", "--workdir", str(tmp_path))
-        self.assert_rejected(out, "runs past the end")
+        assert_rejected(out, "runs past the end")
 
     def test_wrong_kind_resume(self, workdir, tmp_path):
         write_json(tmp_path / "corpus.json", dict(SMALL_CORPUS, per_label=2))
@@ -250,8 +284,24 @@ class TestBadCheckpoint:
         out = run_cli("train", "tokenizer", "--workdir", str(tmp_path),
                       "--config", str(tmp_path / "t.json"),
                       "--resume", str(workdir / "prior.mvckpt"))
-        self.assert_rejected(out, "holds a prior, not a tokenizer")
+        assert_rejected(out, "holds a prior, not a tokenizer")
         assert not (tmp_path / "tokenizer.mvckpt").exists()
+
+
+class TestSectionShapes:
+    """A checkpoint section whose shape the model does not expect exits 2."""
+
+    @pytest.mark.parametrize("name,section", [("prior", "head.w"), ("prior", "code_table"),
+                                              ("tokenizer", "codebook.embeddings")])
+    def test_sample_exits_2(self, workdir, tmp_path, name, section):
+        for kind in ("tokenizer", "prior"):
+            (tmp_path / f"{kind}.mvckpt").write_bytes((workdir / f"{kind}.mvckpt").read_bytes())
+        config, arrays = ckpt.read_checkpoint(tmp_path / f"{name}.mvckpt")
+        arrays[section] = np.zeros((3, 3), dtype=np.float32)
+        ckpt.write_checkpoint(tmp_path / f"{name}.mvckpt", config, arrays)
+        out = run_cli("sample", "--workdir", str(tmp_path), "--label", "ring_with_core",
+                      "--count", "1")
+        assert_rejected(out, f"section '{section}' has shape (3, 3)")
 
 
 class TestSample:
@@ -314,6 +364,15 @@ class TestEval:
         out = run_cli("eval", "--workdir", str(workdir), "--real", str(lonely),
                       "--fake", str(lonely), "--embedder", "tokenizer.mvckpt")
         assert out.returncode == 2
+
+    def test_truncated_pgm_exits_2(self, workdir, tmp_path):
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        for name in ("a.pgm", "b.pgm"):
+            (cut / name).write_bytes(pgmio.encode_pgm(np.zeros((16, 16)))[:20])
+        out = run_cli("eval", "--workdir", str(workdir), "--real", str(cut),
+                      "--fake", str(cut), "--embedder", "tokenizer.mvckpt")
+        assert_rejected(out, "a.pgm: PGM of 16x16 pixels")
 
     def test_mixed_sizes_exit_2(self, workdir, tmp_path):
         mixed = tmp_path / "mixed"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mvgen import datagen as dg
 from mvgen import pgmio
+from mvgen.checkpoint import ArtifactError
 from mvgen.numerics import ContractError
 
 
@@ -285,3 +286,63 @@ class TestPgmIO:
     def test_rejects_non_p5(self):
         with pytest.raises(ValueError):
             pgmio.decode_pgm(b"P2\n1 1\n255\n0")
+
+    @pytest.mark.parametrize("blob", [
+        b"P5", b"P5\n4 3\n", b"P5\n4 3\n255\n" + bytes(11), b"P5 # comment", b"P5\n4 x\n255\n",
+        b"P5\n0 3\n255\n", b"P5\n-4 3\n255\n" + bytes(12)])
+    def test_cut_short_or_malformed_raises_artifact_error(self, blob):
+        with pytest.raises(ArtifactError):
+            pgmio.decode_pgm(blob)
+
+    def test_read_names_the_file(self, tmp_path):
+        path = tmp_path / "cut.pgm"
+        path.write_bytes(pgmio.encode_pgm(np.zeros((4, 4)))[:-3])
+        with pytest.raises(ArtifactError, match="cut.pgm"):
+            pgmio.read_pgm(path)
+
+
+VALID_PGM = pgmio.encode_pgm(np.linspace(0.0, 1.0, 12).reshape(3, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=40),
+    st.binary(max_size=40).map(lambda b: b"P5" + b),
+    st.text("0123456789 #\n-", max_size=24).map(lambda t: b"P5" + t.encode()),
+    st.integers(0, len(VALID_PGM)).map(lambda n: VALID_PGM[:n]),
+    st.tuples(st.integers(0, len(VALID_PGM) - 1), st.integers(0, 255)).map(
+        lambda t: VALID_PGM[:t[0]] + bytes([t[1]]) + VALID_PGM[t[0] + 1:])))
+def test_decode_pgm_parses_or_raises_artifact_error(blob):
+    try:
+        values = pgmio.decode_pgm(blob)
+    except ArtifactError:
+        return
+    assert values.ndim == 2 and values.size and 0.0 <= values.min() <= values.max() <= 1.0
+
+
+class TestManifest:
+    @pytest.fixture()
+    def saved(self, tmp_path, small_corpus):
+        dg.save_corpus(small_corpus, tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: ["MVCORPUS 2"] + lines[1:],
+        lambda lines: [],
+        lambda lines: lines[:1],
+        lambda lines: lines + ["images/x/a.pgm\t0\ttrain"],
+        lambda lines: lines + ["images/x/a.pgm\tzero\ttrain\t1"],
+        lambda lines: lines + ["images/x/a.pgm\t0\tholdout\t1"],
+        lambda lines: lines + ["a.pgm\t0\ttrain\t1"],
+    ])
+    def test_malformed_manifest_raises_artifact_error(self, saved, edit):
+        path = saved / "manifest.txt"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ArtifactError, match="manifest"):
+            dg.load_corpus(saved)
+
+    def test_truncated_slice_raises_artifact_error(self, saved):
+        first = saved / (saved / "manifest.txt").read_text().splitlines()[1].split("\t")[0]
+        first.write_bytes(first.read_bytes()[:-1])
+        with pytest.raises(ArtifactError, match=first.name):
+            dg.load_corpus(saved)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvgen import tokenizer as tok
+from mvgen.checkpoint import ArtifactError
 from mvgen.numerics import (
     ContractError,
     NumericError,
@@ -294,6 +297,42 @@ class TestTokenStream:
         with pytest.raises(ContractError):
             tok.tokens_to_bytes(pyramid, 8)
 
+    @pytest.mark.parametrize("cut", [0, 3, 10, 14, 19, 22, 26])
+    def test_cut_short_raises_artifact_error(self, cut):
+        blob = tok.tokens_to_bytes(tok.TokenPyramid((np.array([[1]]), np.ones((2, 2)))), 4)
+        assert len(blob) == 34
+        with pytest.raises(ArtifactError):
+            tok.tokens_from_bytes(blob[:cut])
+
+    def test_huge_scale_count_raises_artifact_error(self):
+        with pytest.raises(ArtifactError, match="header of 4294967295 scales"):
+            tok.tokens_from_bytes(b"MVTK" + (1).to_bytes(4, "little") + b"\xff" * 8)
+
+    def test_read_names_the_file(self, tmp_path):
+        path = tmp_path / "cut.mvtk"
+        path.write_bytes(b"MVTX")
+        with pytest.raises(ArtifactError, match="cut.mvtk"):
+            tok.read_token_stream(path)
+
+
+VALID_MVTK = tok.tokens_to_bytes(
+    tok.TokenPyramid((np.array([[3]]), np.arange(4).reshape(2, 2), np.full((3, 3), 5))), 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=48),
+    st.binary(max_size=48).map(lambda b: VALID_MVTK[:8] + b),
+    st.integers(0, len(VALID_MVTK)).map(lambda n: VALID_MVTK[:n]),
+    st.tuples(st.integers(0, len(VALID_MVTK) - 1), st.integers(0, 255)).map(
+        lambda t: VALID_MVTK[:t[0]] + bytes([t[1]]) + VALID_MVTK[t[0] + 1:])))
+def test_tokens_from_bytes_parses_or_raises_artifact_error(blob):
+    try:
+        pyramid, vocab = tok.tokens_from_bytes(blob)
+    except ArtifactError:
+        return
+    assert vocab >= 0 and all(g.ndim == 2 and g.shape[0] == g.shape[1] for g in pyramid.grids)
+
 
 class TestCheckpoint:
     def test_roundtrip_preserves_weights_exactly_float32(self, tmp_path):
@@ -317,6 +356,13 @@ class TestCheckpoint:
         a = tok.encode(image, model)
         b = tok.encode(image, loaded)
         assert all(np.array_equal(x, y) for x, y in zip(a.grids, b.grids))
+
+    def test_codebook_of_the_wrong_shape_rejected(self, tmp_path):
+        model = tok.TokenizerModel.create(tok.TokenizerConfig(dtype="float32"), seed=0)
+        model.codebook.ema_sums = np.zeros((64, 3), dtype=np.float32)
+        tok.save_tokenizer(tmp_path / "t.mvckpt", model)
+        with pytest.raises(ArtifactError, match="'codebook.ema_sums' has shape"):
+            tok.load_tokenizer(tmp_path / "t.mvckpt")
 
     def test_wrong_kind_rejected(self, tmp_path):
         from mvgen import checkpoint as ckpt
