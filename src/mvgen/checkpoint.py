@@ -3,8 +3,8 @@
 Layout: magic "MVCKPT", version u32 LE, header length u64 LE, JSON header
 (config echo plus a section table of name/shape/offset), then the raw
 little-endian float32 blobs. Offsets are element counts into the blob region.
-float32 payloads round-trip bit-exactly. Writes are atomic: a temp file in the
-checkpoint's directory replaces the old file only once it is complete.
+float32 payloads round-trip bit-exactly. Every file mvgen writes goes through
+`write_artifact`: a temp file next to it replaces the old file once complete.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -63,23 +64,29 @@ def decode_checkpoint(blob: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     try:
         header = json.loads(blob[18:base].decode("utf-8"))
         config, sections = header["config"], header["sections"]
-    except (ValueError, KeyError, TypeError) as err:
+    except (ValueError, KeyError, TypeError, RecursionError) as err:
         raise ArtifactError(f"unreadable checkpoint header: {err}") from err
+    if not isinstance(config, dict) or not isinstance(sections, list):
+        raise ArtifactError("checkpoint header needs a config object and a section list")
     arrays = _Sections()
     for section in sections:
-        shape = tuple(section["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = base + section["offset"] * 4
+        entry = section if isinstance(section, dict) else {}
+        name, shape, offset = entry.get("name"), entry.get("shape"), entry.get("offset")
+        if not (type(name) is str and isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in [offset, *shape])):
+            raise ArtifactError(f"malformed checkpoint section {json.dumps(section)[:80]}")
+        count = math.prod(shape)
+        start = base + offset * 4
         if start + count * 4 > len(blob):
-            raise ArtifactError(f"checkpoint section {section['name']!r} runs past the "
+            raise ArtifactError(f"checkpoint section {name!r} runs past the "
                                 f"end of the file ({len(blob)} bytes)")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
-        arrays[section["name"]] = arr.reshape(shape).copy()
+        arrays[name] = arr.reshape(shape).copy()
     return config, arrays
 
 
-def write_checkpoint(path: str | os.PathLike, config: dict, arrays: dict[str, np.ndarray]) -> None:
-    blob = encode_checkpoint(config, arrays)
+def write_artifact(path: str | os.PathLike, blob: bytes) -> None:
+    """Write blob to path atomically, so a failed write keeps the old file."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -88,6 +95,10 @@ def write_checkpoint(path: str | os.PathLike, config: dict, arrays: dict[str, np
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def write_checkpoint(path: str | os.PathLike, config: dict, arrays: dict[str, np.ndarray]) -> None:
+    write_artifact(path, encode_checkpoint(config, arrays))
 
 
 def read_artifact(path: str | os.PathLike, decode):
@@ -162,5 +173,10 @@ def load_model(path: str | os.PathLike, kind: str, config_cls):
     if config.get("kind") != kind:
         raise ArtifactError(f"{os.fspath(path)}: checkpoint holds a {config.get('kind')}, "
                             f"not a {kind}")
-    fields = {f.name for f in dataclasses.fields(config_cls)}
-    return config_cls(**{k: v for k, v in config.items() if k in fields}), config, arrays
+    return config_from(config_cls, config), config, arrays
+
+
+def config_from(cls, mapping: dict, **derived):
+    """A cls from the entries of mapping that name its fields, plus derived ones."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in mapping.items() if k in names}, **derived)

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -38,23 +39,11 @@ class ConfigError(ValueError):
 # -- strict config parsing ------------------------------------------------------
 
 
-def _strict(cls, data: dict, context: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - fields
-    if unknown:
-        raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
-    return data
-
-
 @dataclasses.dataclass
 class LabelConfig:
     id: int
     name: str
     family: str
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LabelConfig":
-        return cls(**_strict(cls, data, "labels[]"))
 
 
 @dataclasses.dataclass
@@ -67,15 +56,6 @@ class CorpusConfig:
     out_dir: str = "corpus"
     labels: list[LabelConfig] = dataclasses.field(default_factory=lambda: [
         LabelConfig(i, fam, fam) for i, fam in enumerate(dg.FAMILIES)])
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CorpusConfig":
-        data = dict(_strict(cls, data, "corpus config"))
-        if "labels" in data:
-            data["labels"] = [LabelConfig.from_dict(d) for d in data["labels"]]
-        if "split" in data:
-            data["split"] = tuple(data["split"])
-        return cls(**data)
 
 
 @dataclasses.dataclass
@@ -119,67 +99,94 @@ class PriorTrainConfig:
         peak_lr=1e-3, warmup_steps=100, total_steps=1500))
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", tuple: "a list of integers"}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+               float | None: "a number or null", tuple[int, ...]: "a list of integers",
+               tuple[float, float, float]: "a list of 3 numbers", list[LabelConfig]: "a list"}
 
 
-def _typed(base, data: dict, context: str) -> dict:
-    """data, once each value has the type of base's value for its key: an int
-    also fits a float, a list of ints a tuple; a bool is no int; null fits
-    only a field that defaults to None."""
-    nullable = {f.name for f in dataclasses.fields(base) if f.default is None}
+def _fits(kind, value) -> bool:
+    """Whether a JSON value fits the type hint kind: an int also fits a float,
+    a list fits a tuple of one element type (and of its length unless
+    open-ended), a bool is no int, and null fits only an optional field."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is tuple:
+        return (isinstance(value, list) and (args[-1] is Ellipsis or len(value) == len(args))
+                and all(_fits(args[0], v) for v in value))
+    if type(None) in args:  # an optional field
+        return value is None or _fits(args[0], value)
+    return type(value) is kind or kind is float and type(value) is int
+
+
+def _typed(kind, value, context: str, base=None):
+    """value once it fits kind; a nested config, or each one of a list of them,
+    is parsed by _config (over base). Lists stay lists."""
+    if dataclasses.is_dataclass(kind):
+        return _config(kind, value, context, base)
+    if typing.get_origin(kind) is list and isinstance(value, list):
+        return [_typed(typing.get_args(kind)[0], v, f"{context}[{i}]") for i, v in enumerate(value)]
+    if not _fits(kind, value):
+        raise ConfigError(f"{context} must be {_TYPE_NAMES[kind]}, not {json.dumps(value)}")
+    return value
+
+
+def _config(cls, data, context: str, base=None):
+    """A cls from its JSON object over base's values, or over cls's defaults
+    when base is None. Unknown keys, missing required keys and values that
+    do not fit raise ConfigError; a field that defaults to None is left for
+    cls to derive unless data gives it."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(data) - {f.name for f in fields})
+    if unknown:
+        raise ConfigError(f"{context}: unknown keys {unknown}")
+    missing = [f.name for f in fields
+               if f.name not in data and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"{context}: missing keys {missing}")
+    hints = typing.get_type_hints(cls)
+    values = {} if base is None else {
+        f.name: getattr(base, f.name) for f in fields if f.default is not None}
     for key, value in data.items():
-        kind = type(getattr(base, key))
-        fits = {tuple: isinstance(value, list) and all(type(v) is int for v in value),
-                float: type(value) in (int, float)}.get(kind, type(value) is kind)
-        if not (fits or value is None and key in nullable):
-            raise ConfigError(f"{context}: {key} must be {_TYPE_NAMES[kind]}, "
-                              f"not {json.dumps(value)}")
-    return data
+        values[key] = _typed(hints[key], value, f"{context}: {key}", getattr(base, key, None))
+    return cls(**values)
 
 
 def _train_config(cls, data: dict, context: str):
-    """A train config from its JSON object over cls's defaults, unknown keys
-    and mistyped values rejected; the optimizer's total_steps follows steps
-    unless it is given."""
-    data = dict(_strict(cls, data, context))
-    base = cls()
-    raw_optimizer = data.pop("optimizer", {})
-    if not isinstance(raw_optimizer, dict):
-        raise ConfigError(f"{context}: optimizer must be a JSON object")
-    _typed(base, data, context)
-    if raw_optimizer:
-        data["optimizer"] = dataclasses.replace(base.optimizer, **_typed(
-            base.optimizer, _strict(OptimizerConfig, raw_optimizer, "optimizer config"),
-            "optimizer config"))
-    cfg = dataclasses.replace(base, **data)
-    if "total_steps" not in raw_optimizer:
-        cfg = dataclasses.replace(cfg, optimizer=dataclasses.replace(
-            cfg.optimizer, total_steps=max(cfg.steps, 1)))
+    """A train config from its JSON object over cls's defaults; the optimizer's
+    total_steps follows steps unless it is given."""
+    cfg = _config(cls, data, context, cls())
+    if "total_steps" not in data.get("optimizer", {}):
+        cfg.optimizer = dataclasses.replace(cfg.optimizer, total_steps=max(cfg.steps, 1))
     return cfg
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: str | None):
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return data
+    try:
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"))
+    except (OSError, ValueError, RecursionError) as err:
+        raise ConfigError(f"config file {path}: {err}") from None
+
+
+def _picked(args, *names) -> dict:
+    """The named command-line arguments, for a config echo."""
+    return {name: getattr(args, name) for name in names}
 
 
 def _echo_config(tree: dict, echo_path: str) -> None:
     text = json.dumps(tree, indent=2, sort_keys=True)
     print(text)
     os.makedirs(os.path.dirname(echo_path) or ".", exist_ok=True)
-    with open(echo_path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    ckpt.write_artifact(echo_path, (text + "\n").encode("utf-8"))
 
 
-def _read_pgm_dir(path: str) -> np.ndarray:
+def _read_pgm_dir(path: str, least: int = 2) -> np.ndarray:
     names = sorted(n for n in os.listdir(path) if n.endswith(".pgm"))
-    if len(names) < 2:
-        raise ConfigError(f"need at least 2 PGM images in {path}")
+    if len(names) < least:
+        raise ConfigError(f"need {least} or more PGM images in {path}")
     images = [pgmio.read_pgm(os.path.join(path, n)) for n in names]
     shapes = {img.shape for img in images}
     if len(shapes) != 1:
@@ -191,9 +198,7 @@ def _read_pgm_dir(path: str) -> np.ndarray:
 
 
 def cmd_datagen(args) -> int:
-    cfg = CorpusConfig.from_dict(_load_config_file(args.config))
-    if cfg.per_label <= 0:
-        raise ConfigError("per_label must be positive")
+    cfg = _config(CorpusConfig, _load_config_file(args.config), "corpus config", CorpusConfig())
     out_dir = os.path.join(args.workdir, cfg.out_dir)
     specs = [dg.PhantomSpec(dg.DatasetLabel(l.id, l.name), l.family,
                             cfg.noise_level, cfg.master_seed) for l in cfg.labels]
@@ -230,9 +235,9 @@ def _train(args, cfg, model, start_step: int, fit, save, extra: dict) -> int:
         save(ckpt_path, model, extra_config=extra, train_step=step, optimizer_state=True)
     if step == start_step:
         save(ckpt_path, model, extra_config=extra, train_step=step, optimizer_state=True)
-    with open(os.path.join(args.workdir, cfg.loss_csv), "w", encoding="ascii") as fh:
-        fh.write("step,lr,loss\n")
-        fh.writelines(f"{i},{lr:.10g},{loss:.10g}\n" for i, lr, loss in curve)
+    rows = "".join(f"{i},{lr:.10g},{loss:.10g}\n" for i, lr, loss in curve)
+    ckpt.write_artifact(os.path.join(args.workdir, cfg.loss_csv),
+                        ("step,lr,loss\n" + rows).encode("ascii"))
     _echo_config({"command": f"train {args.component}", args.component: dataclasses.asdict(cfg)},
                  ckpt_path + ".config.json")
     if curve:
@@ -243,10 +248,7 @@ def _train(args, cfg, model, start_step: int, fit, save, extra: dict) -> int:
 
 def _train_tokenizer(args, data: dict) -> int:
     cfg = _train_config(TokenizerTrainConfig, data, "tokenizer training config")
-    model_cfg = tok.TokenizerConfig(resolution=cfg.resolution, schedule=cfg.schedule,
-                                    vocab_size=cfg.vocab_size, embed_dim=cfg.embed_dim,
-                                    beta_commit=cfg.beta_commit, ema_decay=cfg.ema_decay,
-                                    dtype=cfg.dtype)
+    model_cfg = ckpt.config_from(tok.TokenizerConfig, vars(cfg))
     corpus = dg.load_corpus(os.path.join(args.workdir, cfg.corpus_dir),
                             dtype=model_cfg.np_dtype())
     if corpus.resolution != cfg.resolution:
@@ -276,11 +278,9 @@ def _train_prior(args, data: dict) -> int:
                             dtype=tokenizer.config.np_dtype())
     labels_cfg = tok_config.get("labels") or {
         str(k): v for k, v in corpus.label_names.items()}
-    prior_cfg = pr.PriorConfig(depth=cfg.depth, width=cfg.width, heads=cfg.heads,
-                               vocab_size=tokenizer.config.vocab_size,
-                               schedule=tokenizer.config.schedule,
-                               n_labels=len(labels_cfg), code_dim=tokenizer.config.embed_dim,
-                               cond_dropout_p=cfg.cond_dropout_p, dtype=cfg.dtype)
+    prior_cfg = ckpt.config_from(pr.PriorConfig, vars(cfg), vocab_size=tokenizer.config.vocab_size,
+                                 schedule=tokenizer.config.schedule, n_labels=len(labels_cfg),
+                                 code_dim=tokenizer.config.embed_dim)
     if args.resume:
         model, start_step = _resume(args.resume, pr.load_prior, prior_cfg.schedule, "tokenizer")
     else:
@@ -320,14 +320,8 @@ def cmd_sample(args) -> int:
                              temperature=args.temperature, seed=args.seed)
     out_dir = os.path.join(args.workdir, args.out)
     os.makedirs(out_dir, exist_ok=True)
-    meta = {
-        "command": "sample",
-        "label": args.label,
-        "count": args.count,
-        "sampling": dataclasses.asdict(cfg),
-        "tokenizer": args.tokenizer,
-        "prior": args.prior,
-    }
+    meta = {"command": "sample", "sampling": dataclasses.asdict(cfg),
+            **_picked(args, "label", "count", "tokenizer", "prior")}
     total_passes = 0
     for index in range(args.count):
         per_image = dataclasses.replace(cfg, seed=cfg.seed + index)
@@ -356,15 +350,14 @@ def cmd_eval(args) -> int:
     report = mx.evaluate(real, fake, embedder, median_time_s=args.time,
                          model=args.model, seed=args.seed)
     csv_path = os.path.join(args.workdir, args.out)
-    fresh = not os.path.exists(csv_path)
-    with open(csv_path, "a", encoding="ascii") as fh:
-        if fresh:
-            fh.write(mx.CSV_HEADER + "\n")
-        fh.write(report.csv_row() + "\n")
-    _echo_config({"command": "eval", "real": args.real, "fake": args.fake,
-                  "embedder": args.embedder, "model": args.model,
-                  "time": args.time, "seed": args.seed, "out": args.out},
-                 csv_path + ".config.json")
+    try:
+        with open(csv_path, "rb") as fh:
+            table = fh.read()
+    except FileNotFoundError:
+        table = (mx.CSV_HEADER + "\n").encode("ascii")
+    ckpt.write_artifact(csv_path, table + (report.csv_row() + "\n").encode("ascii"))
+    _echo_config({"command": "eval", **_picked(args, "real", "fake", "embedder", "model", "time",
+                                                "seed", "out")}, csv_path + ".config.json")
     print(report.text_report())
     return EXIT_OK
 
@@ -386,10 +379,8 @@ def cmd_bench(args) -> int:
         return EXIT_OK
 
     # measure
-    print(json.dumps({"command": "bench measure", "tokenizer": args.tokenizer,
-                      "prior": args.prior, "label": args.label, "count": args.count,
-                      "cfg": args.cfg, "seed": args.seed, "real": args.real},
-                     sort_keys=True))
+    print(json.dumps({"command": "bench measure", **_picked(
+        args, "tokenizer", "prior", "label", "count", "cfg", "seed", "real")}, sort_keys=True))
     tokenizer, model, label_id = _load_models(args)
     counter = {"i": 0, "passes": 0}
 
@@ -422,19 +413,13 @@ def cmd_bench(args) -> int:
 
 def cmd_inspect_codebook(args) -> int:
     tokenizer, _ = tok.load_tokenizer(os.path.join(args.workdir, args.checkpoint))
-    names = sorted(n for n in os.listdir(os.path.join(args.workdir, args.eval_dir))
-                   if n.endswith(".pgm"))
-    if not names:
-        raise ConfigError("need at least one PGM image to inspect usage")
-    images = np.stack([pgmio.read_pgm(os.path.join(args.workdir, args.eval_dir, n))
-                       for n in names])
+    images = _read_pgm_dir(os.path.join(args.workdir, args.eval_dir), least=1)
     hist, utilization, heatmap = tok.codebook_usage(tokenizer, images)
     out_path = os.path.join(args.workdir, args.out)
     # heatmap pixels are round(frequency * 255), so they sum to ~255
     pgmio.write_pgm(out_path, heatmap)
-    _echo_config({"command": "inspect-codebook", "checkpoint": args.checkpoint,
-                  "eval_dir": args.eval_dir, "out": args.out,
-                  "images": len(names)}, out_path + ".config.json")
+    _echo_config({"command": "inspect-codebook", "images": len(images),
+                  **_picked(args, "checkpoint", "eval_dir", "out")}, out_path + ".config.json")
     print(f"codes: {hist.size}  utilization: {utilization:.4f}")
     print(f"heatmap: {out_path}")
     return EXIT_OK
@@ -515,8 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ContractError, ckpt.ArtifactError, FileNotFoundError,
-            json.JSONDecodeError) as err:
+    except (ConfigError, ContractError, ckpt.ArtifactError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as err:

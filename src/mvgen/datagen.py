@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .checkpoint import ArtifactError
+from .checkpoint import ArtifactError, write_artifact
 from .numerics import ContractError, resize_bilinear_np, resize_nearest_np
 from .rng import rng_for
 
@@ -424,8 +424,7 @@ def save_corpus(corpus: Corpus, out_dir: str | os.PathLike) -> None:
         path = os.path.join(out, record.path)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         pgmio.write_pgm(path, next(by_split[record.split]).values)
-    with open(os.path.join(out, "manifest.txt"), "w", encoding="ascii") as fh:
-        fh.write(corpus.manifest_text())
+    write_artifact(os.path.join(out, "manifest.txt"), corpus.manifest_text().encode("ascii"))
 
 
 @dataclasses.dataclass

@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 
-from .checkpoint import ArtifactError, read_artifact
+from .checkpoint import ArtifactError, read_artifact, write_artifact
 
 
 def encode_pgm(values: np.ndarray) -> bytes:
@@ -47,8 +47,7 @@ def decode_pgm(blob: bytes) -> np.ndarray:
 
 
 def write_pgm(path: str | os.PathLike, values: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_pgm(values))
+    write_artifact(path, encode_pgm(values))
 
 
 def read_pgm(path: str | os.PathLike) -> np.ndarray:

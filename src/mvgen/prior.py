@@ -47,40 +47,30 @@ from .numerics import (
     train_loop,
 )
 from .rng import rng_for
-from .tokenizer import ScaleSchedule, TokenPyramid
+from .tokenizer import ModelConfig, ScaleSchedule, TokenPyramid
 
 MASK_BIAS = -1e9  # exp() underflows to exactly 0.0, so masking is bit-exact
 
 
 @dataclasses.dataclass(frozen=True)
-class PriorConfig:
+class PriorConfig(ModelConfig):
     depth: int = 4
     width: int = 128
     heads: int = 4
-    vocab_size: int = 64
-    schedule: tuple[int, ...] = (1, 2, 3, 4)
     n_labels: int = 4
     code_dim: int = 8
     cond_dropout_p: float = 0.1
-    dtype: str = "float64"
 
     def __post_init__(self):
-        object.__setattr__(self, "schedule", ScaleSchedule(self.schedule).sizes)
+        super().__post_init__()
         if self.width % self.heads != 0:
             raise ContractError("width must be divisible by heads")
         if not 0.0 <= self.cond_dropout_p < 1.0:
             raise ContractError("cond_dropout_p must lie in [0, 1)")
 
     @property
-    def scale_schedule(self) -> ScaleSchedule:
-        return ScaleSchedule(self.schedule)
-
-    @property
     def null_index(self) -> int:
         return self.n_labels
-
-    def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
 
 
 @dataclasses.dataclass

@@ -131,28 +131,42 @@ class TokenPyramid:
 
 
 @dataclasses.dataclass(frozen=True)
-class TokenizerConfig:
-    resolution: int = 32
-    schedule: tuple[int, ...] = DESK_SCHEDULE.sizes
+class ModelConfig:
+    """What the tokenizer's and the prior's configs share: the code vocabulary,
+    the scale schedule and the float type they compute in."""
     vocab_size: int = 64
-    embed_dim: int = 8
-    beta_commit: float = 0.25
-    ema_decay: float = 0.99
+    schedule: tuple[int, ...] = DESK_SCHEDULE.sizes
     dtype: str = "float64"
 
     def __post_init__(self):
-        sched = ScaleSchedule(self.schedule)
-        object.__setattr__(self, "schedule", sched.sizes)
-        factor = self.resolution / sched.latent_size
-        stages = math.log2(factor) if factor >= 2 else -1
-        if stages != int(stages) or stages < 1:
-            raise ContractError(
-                f"resolution {self.resolution} over latent {sched.latent_size} "
-                "must be a power-of-two downsample factor of at least 2")
+        if self.dtype not in ("float32", "float64"):
+            raise ContractError(f"dtype must be float32 or float64, not {self.dtype!r}")
+        object.__setattr__(self, "schedule", ScaleSchedule(self.schedule).sizes)
 
     @property
     def scale_schedule(self) -> ScaleSchedule:
         return ScaleSchedule(self.schedule)
+
+    def np_dtype(self):
+        return np.float32 if self.dtype == "float32" else np.float64
+
+
+@dataclasses.dataclass(frozen=True)
+class TokenizerConfig(ModelConfig):
+    resolution: int = 32
+    embed_dim: int = 8
+    beta_commit: float = 0.25
+    ema_decay: float = 0.99
+
+    def __post_init__(self):
+        super().__post_init__()
+        latent = self.scale_schedule.latent_size
+        factor = self.resolution / latent
+        stages = math.log2(factor) if factor >= 2 else -1
+        if stages != int(stages) or stages < 1:
+            raise ContractError(
+                f"resolution {self.resolution} over latent {latent} "
+                "must be a power-of-two downsample factor of at least 2")
 
     @property
     def num_stages(self) -> int:
@@ -165,9 +179,6 @@ class TokenizerConfig:
             return [self.embed_dim]
         widths = [32] + [64] * (stages - 2) + [self.embed_dim]
         return widths
-
-    def np_dtype(self):
-        return np.float32 if self.dtype == "float32" else np.float64
 
 
 def paper_config() -> TokenizerConfig:
@@ -609,8 +620,7 @@ def tokens_from_bytes(blob: bytes) -> tuple[TokenPyramid, int]:
 
 
 def write_token_stream(path: str | os.PathLike, pyramid: TokenPyramid, vocab_size: int) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tokens_to_bytes(pyramid, vocab_size))
+    ckpt.write_artifact(path, tokens_to_bytes(pyramid, vocab_size))
 
 
 def read_token_stream(path: str | os.PathLike) -> tuple[TokenPyramid, int]:

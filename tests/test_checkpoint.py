@@ -1,9 +1,14 @@
 import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvgen import checkpoint as ckpt
+from mvgen import pgmio
+from mvgen import tokenizer as tok
 from mvgen.numerics import Parameter
 from mvgen.tokenizer import TokenizerConfig
 
@@ -70,13 +75,35 @@ def _blob():
     return ckpt.encode_checkpoint({"kind": "test"}, {"w": np.arange(6, dtype=np.float32)})
 
 
+def _with_header(header, payload=bytes(24)) -> bytes:
+    """An MVCKPT blob whose header is `header`, valid or not, over payload."""
+    text = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return b"MVCKPT" + (1).to_bytes(4, "little") + len(text).to_bytes(8, "little") + text + payload
+
+
+def _section(**entry):
+    return _with_header({"config": {}, "sections": [{"name": "w", "shape": [6], "offset": 0,
+                                                     **entry}]})
+
+
 @pytest.mark.parametrize("blob,needle", [
     (b"garbage\n", "not an MVCKPT"),
     (b"MVCKPT" + (2).to_bytes(4, "little") + bytes(8), "version 2"),
     (_blob()[:30], "header of 75 bytes"),
     (_blob()[:-4], "runs past the end"),
     (b"MVCKPT" + (1).to_bytes(4, "little") + (3).to_bytes(8, "little") + b"{x}", "header"),
-], ids=["bad-magic", "bad-version", "short-header", "short-payload", "bad-json"])
+    (_with_header({"config": {}, "sections": [{"name": "w", "offset": 0}]}),
+     "malformed checkpoint section"),
+    (_with_header({"config": {}, "sections": 5}), "section list"),
+    (_section(shape=[-6]), "malformed checkpoint section"),
+    (_section(shape="6"), "malformed checkpoint section"),
+    (_section(shape=[6.0]), "malformed checkpoint section"),
+    (_section(offset=-2), "malformed checkpoint section"),
+    (_with_header({"config": [], "sections": []}), "config object"),
+    (_with_header(b"[" * 100_000), "unreadable checkpoint header"),
+], ids=["bad-magic", "bad-version", "short-header", "short-payload", "bad-json",
+        "no-shape", "sections-not-a-list", "negative-shape", "string-shape", "float-shape",
+        "negative-offset", "config-not-an-object", "deep-json"])
 def test_unreadable_checkpoint_raises_artifact_error(blob, needle):
     with pytest.raises(ckpt.ArtifactError, match=needle):
         ckpt.decode_checkpoint(blob)
@@ -100,9 +127,41 @@ def test_load_model_rejects_wrong_kind(tmp_path):
         ckpt.load_model(path, "tokenizer", TokenizerConfig)
 
 
-def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
-    path = tmp_path / "c.mvckpt"
-    ckpt.write_checkpoint(path, {"step": 1}, {"w": np.zeros(64, dtype=np.float32)})
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.integers(0, len(_blob())).map(lambda n: _blob()[:n]),
+    st.tuples(st.integers(0, len(_blob()) - 1), st.integers(0, 255)).map(
+        lambda t: _blob()[:t[0]] + bytes([t[1]]) + _blob()[t[0] + 1:]),
+    st.fixed_dictionaries({}, optional={
+        "config": st.one_of(st.none(), st.integers(), st.lists(st.integers(), max_size=2),
+                            st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)),
+        "sections": st.one_of(st.integers(), st.text(max_size=3), st.lists(st.one_of(
+            st.integers(), st.fixed_dictionaries({}, optional={
+                "name": st.one_of(st.text(max_size=3), st.integers(), st.none()),
+                "shape": st.one_of(st.lists(st.integers(-2, 2**40), max_size=3),
+                                   st.text(max_size=2), st.integers(), st.floats()),
+                "offset": st.one_of(st.integers(-8, 2**62), st.floats(), st.text(max_size=2)),
+            })), max_size=3)),
+    }).map(_with_header)))
+def test_decode_checkpoint_parses_or_raises_artifact_error(blob):
+    try:
+        config, arrays = ckpt.decode_checkpoint(blob)
+    except ckpt.ArtifactError:
+        return
+    assert isinstance(config, dict)
+    assert all(arr.dtype == np.float32 for arr in arrays.values())
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, v: ckpt.write_checkpoint(path, {"step": v + 1},
+                                          {"w": np.full(64, v, dtype=np.float32)}),
+    lambda path, v: pgmio.write_pgm(path, np.full((8, 8), float(v))),
+    lambda path, v: tok.write_token_stream(path, tok.TokenPyramid((np.full((4, 4), v),)), 2),
+], ids=["checkpoint", "pgm", "mvtk"])
+def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch, write):
+    """Every artifact writer replaces the old file only with a complete new one."""
+    path = tmp_path / "c.out"
+    write(path, 0)
     before = path.read_bytes()
 
     class HalfFile(io.FileIO):
@@ -112,10 +171,10 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ckpt, "open", HalfFile, raising=False)
     with pytest.raises(OSError, match="no space"):
-        ckpt.write_checkpoint(path, {"step": 2}, {"w": np.ones(64, dtype=np.float32)})
+        write(path, 1)
     monkeypatch.undo()
     assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.mvckpt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.out"]
 
 
 def test_section_of_the_wrong_shape_is_artifact_error():

@@ -9,6 +9,9 @@ import pytest
 
 from mvgen import checkpoint as ckpt
 from mvgen import cli, pgmio
+from mvgen import prior as pr
+from mvgen import tokenizer as tok
+from mvgen.numerics import ContractError
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -262,6 +265,42 @@ class TestConfigTypes:
                       "--config", str(tmp_path / "c.json"))
         assert_rejected(out, "optimizer must be a JSON object")
 
+    def test_peak_lr_alone_sets_the_floor_to_a_hundredth(self, workdir):
+        cfg = dict(SMALL_TOKENIZER, steps=0, checkpoint="lr.mvckpt", loss_csv="lr.csv",
+                   optimizer={"peak_lr": 1.0, "warmup_steps": 0})
+        write_json(workdir / "lr.json", cfg)
+        out = run_cli("train", "tokenizer", "--workdir", str(workdir),
+                      "--config", str(workdir / "lr.json"))
+        assert out.returncode == 0, out.stderr
+        echo = json.loads((workdir / "lr.mvckpt.config.json").read_text())
+        assert echo["tokenizer"]["optimizer"]["min_lr"] == 0.01
+
+    @pytest.mark.parametrize("config,needle", [
+        ({"per_label": "10"}, 'per_label must be an integer, not "10"'),
+        ({"labels": [1]}, "labels[0] must be a JSON object"),
+        ({"labels": [{"id": 0}]}, "labels[0]: missing keys ['name', 'family']"),
+        ({"split": [0.5, 0.5]}, "split must be a list of 3 numbers, not [0.5, 0.5]"),
+        ({"split": ["a", 0.5, 0.5]}, 'split must be a list of 3 numbers, not ["a", 0.5, 0.5]'),
+        ({"noise_level": None}, "noise_level must be a number, not null"),
+        (b"\xff{}", "codec can't decode byte 0xff"),
+        (None, "Is a directory"),
+    ])
+    def test_bad_corpus_config_exits_2(self, tmp_path, config, needle):
+        path = tmp_path / "c.json"
+        if config is None:
+            path.mkdir()
+        elif isinstance(config, bytes):
+            path.write_bytes(config)
+        else:
+            write_json(path, config)
+        out = run_cli("datagen", "--workdir", str(tmp_path), "--config", str(path))
+        assert_rejected(out, needle)
+
+    @pytest.mark.parametrize("cls", [tok.TokenizerConfig, pr.PriorConfig])
+    def test_dtype_must_be_float32_or_float64(self, cls):
+        with pytest.raises(ContractError, match="dtype must be float32 or float64, not 'float16'"):
+            cls(dtype="float16")
+
 
 class TestBadCheckpoint:
     """An unreadable or wrong-kind checkpoint exits 2 with one error line."""
@@ -443,6 +482,12 @@ class TestInspectCodebook:
         assert out.returncode == 0
         heatmap = pgmio.read_pgm(workdir / "usage1.pgm")
         assert np.count_nonzero(heatmap) <= 5
+
+    def test_mixed_sizes_exit_2(self, workdir, tmp_path):
+        pgmio.write_pgm(tmp_path / "a.pgm", np.zeros((16, 16)))
+        pgmio.write_pgm(tmp_path / "b.pgm", np.zeros((8, 8)))
+        out = run_cli("inspect-codebook", "--workdir", str(workdir), "--eval-dir", str(tmp_path))
+        assert_rejected(out, "mixed image sizes")
 
 
 def test_rerun_with_echoed_config_reproduces_artifacts(tmp_path):
