@@ -17,6 +17,8 @@ import os
 
 import numpy as np
 
+from .configs import ConfigError, parse_config
+
 MAGIC = b"MVCKPT"
 VERSION = 1
 
@@ -173,10 +175,15 @@ def load_model(path: str | os.PathLike, kind: str, config_cls):
     if config.get("kind") != kind:
         raise ArtifactError(f"{os.fspath(path)}: checkpoint holds a {config.get('kind')}, "
                             f"not a {kind}")
-    return config_from(config_cls, config), config, arrays
+    try:
+        return config_from(config_cls, config), config, arrays
+    except ConfigError as err:
+        raise ArtifactError(f"{os.fspath(path)}: {err}") from None
 
 
 def config_from(cls, mapping: dict, **derived):
-    """A cls from the entries of mapping that name its fields, plus derived ones."""
+    """A cls from the entries of mapping that name its fields, plus derived
+    ones, typed as a config file is (`configs.parse_config`)."""
     names = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{k: v for k, v in mapping.items() if k in names}, **derived)
+    return parse_config(cls, {**{k: v for k, v in mapping.items() if k in names}, **derived},
+                        cls.__name__)

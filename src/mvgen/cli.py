@@ -14,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-import typing
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from . import pgmio
 from . import prior as pr
 from . import sampler as smp
 from . import tokenizer as tok
+from .configs import ConfigError, parse_config
 from .numerics import ContractError, NumericError, OptimizerConfig
 
 EXIT_OK = 0
@@ -32,11 +32,7 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
-# -- strict config parsing ------------------------------------------------------
+# -- configs ---------------------------------------------------------------------
 
 
 @dataclasses.dataclass
@@ -56,6 +52,10 @@ class CorpusConfig:
     out_dir: str = "corpus"
     labels: list[LabelConfig] = dataclasses.field(default_factory=lambda: [
         LabelConfig(i, fam, fam) for i, fam in enumerate(dg.FAMILIES)])
+
+    def __post_init__(self):
+        if not self.labels:
+            raise ConfigError("corpus config: labels must name at least one label")
 
 
 @dataclasses.dataclass
@@ -99,63 +99,10 @@ class PriorTrainConfig:
         peak_lr=1e-3, warmup_steps=100, total_steps=1500))
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
-               float | None: "a number or null", tuple[int, ...]: "a list of integers",
-               tuple[float, float, float]: "a list of 3 numbers", list[LabelConfig]: "a list"}
-
-
-def _fits(kind, value) -> bool:
-    """Whether a JSON value fits the type hint kind: an int also fits a float,
-    a list fits a tuple of one element type (and of its length unless
-    open-ended), a bool is no int, and null fits only an optional field."""
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if origin is tuple:
-        return (isinstance(value, list) and (args[-1] is Ellipsis or len(value) == len(args))
-                and all(_fits(args[0], v) for v in value))
-    if type(None) in args:  # an optional field
-        return value is None or _fits(args[0], value)
-    return type(value) is kind or kind is float and type(value) is int
-
-
-def _typed(kind, value, context: str, base=None):
-    """value once it fits kind; a nested config, or each one of a list of them,
-    is parsed by _config (over base). Lists stay lists."""
-    if dataclasses.is_dataclass(kind):
-        return _config(kind, value, context, base)
-    if typing.get_origin(kind) is list and isinstance(value, list):
-        return [_typed(typing.get_args(kind)[0], v, f"{context}[{i}]") for i, v in enumerate(value)]
-    if not _fits(kind, value):
-        raise ConfigError(f"{context} must be {_TYPE_NAMES[kind]}, not {json.dumps(value)}")
-    return value
-
-
-def _config(cls, data, context: str, base=None):
-    """A cls from its JSON object over base's values, or over cls's defaults
-    when base is None. Unknown keys, missing required keys and values that
-    do not fit raise ConfigError; a field that defaults to None is left for
-    cls to derive unless data gives it."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context} must be a JSON object")
-    fields = dataclasses.fields(cls)
-    unknown = sorted(set(data) - {f.name for f in fields})
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {unknown}")
-    missing = [f.name for f in fields
-               if f.name not in data and f.default is f.default_factory is dataclasses.MISSING]
-    if missing:
-        raise ConfigError(f"{context}: missing keys {missing}")
-    hints = typing.get_type_hints(cls)
-    values = {} if base is None else {
-        f.name: getattr(base, f.name) for f in fields if f.default is not None}
-    for key, value in data.items():
-        values[key] = _typed(hints[key], value, f"{context}: {key}", getattr(base, key, None))
-    return cls(**values)
-
-
 def _train_config(cls, data: dict, context: str):
     """A train config from its JSON object over cls's defaults; the optimizer's
     total_steps follows steps unless it is given."""
-    cfg = _config(cls, data, context, cls())
+    cfg = parse_config(cls, data, context, cls())
     if "total_steps" not in data.get("optimizer", {}):
         cfg.optimizer = dataclasses.replace(cfg.optimizer, total_steps=max(cfg.steps, 1))
     return cfg
@@ -198,7 +145,8 @@ def _read_pgm_dir(path: str, least: int = 2) -> np.ndarray:
 
 
 def cmd_datagen(args) -> int:
-    cfg = _config(CorpusConfig, _load_config_file(args.config), "corpus config", CorpusConfig())
+    cfg = parse_config(CorpusConfig, _load_config_file(args.config), "corpus config",
+                       CorpusConfig())
     out_dir = os.path.join(args.workdir, cfg.out_dir)
     specs = [dg.PhantomSpec(dg.DatasetLabel(l.id, l.name), l.family,
                             cfg.noise_level, cfg.master_seed) for l in cfg.labels]

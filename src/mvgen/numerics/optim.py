@@ -9,7 +9,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .tensor import ContractError, NumericError, Tensor
+from .tensor import ContractError, NumericError, Tensor, checked_at_boundaries
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,7 +86,8 @@ def adamw_update(p: Parameter, lr: float, cfg: OptimizerConfig) -> Parameter:
 def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm.
 
-    Returns the scale factor applied (1.0 when already within bounds).
+    Returns the scale factor applied (1.0 when already within bounds). A
+    non-finite norm raises NumericError and leaves every gradient as it was.
     """
     params = list(params)
     total = 0.0
@@ -95,6 +96,8 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
             raise ContractError("clip_grad_norm requires populated gradients")
         total += float((p.grad.astype(np.float64) ** 2).sum())
     norm = math.sqrt(total)
+    if not math.isfinite(norm):
+        raise NumericError(f"gradient norm is {norm}")
     if norm <= max_norm or norm == 0.0:
         return 1.0
     scale = max_norm / norm
@@ -109,19 +112,26 @@ def train_loop(params: list[Parameter], opt: OptimizerConfig, batch_size: int, s
     """AdamW steps start_step .. start_step + steps - 1 -> the (step, lr, loss) curve.
 
     loss_at(step) returns the step's loss and an optional callback to run after
-    the update. A numeric failure is re-raised naming `what` and the step.
+    the update. Per-op finiteness checks are off: the loss and the gradient
+    norm are checked before any weight moves, and a failure reruns the step
+    with per-op checks on and is re-raised naming `what`, the step and the op.
     """
     scaled = opt.scaled_for_batch(batch_size)
-    curve = []
-    for step in range(start_step, start_step + steps):
+
+    def clipped_grads(step):
         for p in params:
             p.zero_grad()
+        loss, after_update = loss_at(step)
+        loss.backward()
+        clip_grad_norm(params, scaled.grad_clip_norm)
+        return loss, after_update
+
+    curve = []
+    for step in range(start_step, start_step + steps):
         try:
-            loss, after_update = loss_at(step)
-            loss.backward()
+            loss, after_update = checked_at_boundaries(lambda: clipped_grads(step))
         except NumericError as err:
             raise NumericError(f"{what} training diverged at step {step}: {err}") from err
-        clip_grad_norm(params, scaled.grad_clip_norm)
         lr = lr_at(step, scaled)
         for p in params:
             adamw_update(p, lr, scaled)

@@ -3,14 +3,17 @@
 A `Tensor` wraps a float32/float64 ndarray plus an optional backward closure;
 `backward()` on a scalar loss topologically walks the graph and accumulates
 exact partial derivatives into every reachable tensor with `requires_grad`.
-Every op output is checked for NaN/Inf (a contract violation) unless the check
-is disabled for speed.
+Every op output, and in `backward()` every gradient an op passes back, is
+checked for NaN/Inf (a contract violation). The training loop and the sampler
+run with these per-op checks off and check their boundaries instead (a loss,
+a gradient norm, logits, an image); a boundary that fails reruns its step
+with per-op checks on, so the error names the op (`checked_at_boundaries`).
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -25,14 +28,34 @@ class ContractError(ValueError):
 
 _GRAD_ENABLED = True
 _NAN_CHECKS = True
+T = TypeVar("T")
 
 
-def set_nan_checks(enabled: bool) -> bool:
-    """Toggle per-op finiteness checks; returns the previous setting."""
+def checked_at_boundaries(run: Callable[[], T]) -> T:
+    """run() with per-op finiteness checks off.
+
+    run() checks its own boundaries (a loss, a gradient norm, logits) and
+    changes nothing before they pass. When it raises NumericError, it runs
+    once more with per-op checks on, so the error names the op whose output
+    or gradient is non-finite; if that rerun passes, the first error stands.
+    """
     global _NAN_CHECKS
     previous = _NAN_CHECKS
-    _NAN_CHECKS = enabled
-    return previous
+    _NAN_CHECKS = False
+    try:
+        return run()
+    except NumericError:
+        _NAN_CHECKS = True
+        run()
+        raise
+    finally:
+        _NAN_CHECKS = previous
+
+
+def _finite(values: np.ndarray) -> bool:
+    # a float64 sum is finite iff every element is finite at our magnitudes;
+    # one fused pass, no temporary, unlike isfinite().all()
+    return bool(np.isfinite(values.sum(dtype=np.float64)))
 
 
 @contextlib.contextmanager
@@ -133,6 +156,9 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if _NAN_CHECKS and not all(_finite(p.grad) for p in node._parents
+                                           if p.grad is not None):
+                    raise NumericError(f"non-finite gradient produced by op '{node._op}'")
 
     # -- operator sugar ---------------------------------------------------
 
@@ -200,11 +226,8 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
 
 
 def _make(values: np.ndarray, parents: tuple, backward: Callable, op: str) -> Tensor:
-    if _NAN_CHECKS:
-        # a float64 sum is finite iff every element is finite at our magnitudes;
-        # one fused pass, no temporary, unlike isfinite().all()
-        if not np.isfinite(values.sum(dtype=np.float64)):
-            raise NumericError(f"non-finite values produced by op '{op}'")
+    if _NAN_CHECKS and not _finite(values):
+        raise NumericError(f"non-finite values produced by op '{op}'")
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         return Tensor(values, True, _parents=parents, _backward=backward, _op=op)
     return Tensor(values, False, _op=op)

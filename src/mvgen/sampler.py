@@ -8,7 +8,8 @@ against the cached keys and values of the coarser scales. A scale's rows are
 filtered and drawn in one call each; every draw uses a counter-based
 generator keyed by (seed, scale, position): draws are order-independent, and
 the paired null evaluation consumes no randomness, so guidance strength 1 is
-bit-identical to running without guidance.
+bit-identical to running without guidance. `generate` runs with per-op
+finiteness checks off and checks each scale's logits and the decoded image.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import dataclasses
 
 import numpy as np
 
-from .numerics import ContractError
+from .numerics import ContractError, NumericError, checked_at_boundaries
 from .prior import PriorModel, ScaleCache
 from .rng import rng_for
 from .tokenizer import TokenizerModel, TokenPyramid, decode_batch
@@ -127,6 +128,12 @@ def _guidance_strength(cfg: SamplingConfig, scale_index: int, num_scales: int) -
     return 1.0 + (s - 1.0) * scale_index / (num_scales - 1)
 
 
+def _finite_logits(logits: np.ndarray, which: str, scale_index: int) -> np.ndarray:
+    if not np.isfinite(logits).all():
+        raise NumericError(f"non-finite {which} logits at scale {scale_index}")
+    return logits
+
+
 def sample_scale(model: PriorModel, prefix: list[np.ndarray], c: int, cfg: SamplingConfig,
                  caches: tuple[ScaleCache, ScaleCache] | None = None) -> tuple[np.ndarray, int]:
     """Draw the next scale's grid; returns (grid, forward passes used).
@@ -140,13 +147,14 @@ def sample_scale(model: PriorModel, prefix: list[np.ndarray], c: int, cfg: Sampl
     if cfg.top_k is not None and cfg.top_k > model.config.vocab_size:
         raise ContractError("top_k exceeds the vocabulary size")
     cache, null_cache = caches or (None, None)
-    cond_logits = model.next_scale_logits(prefix, c, cache=cache)
+    cond_logits = _finite_logits(model.next_scale_logits(prefix, c, cache=cache),
+                                 "conditional", k)
     passes = 1
     if cfg.cfg_scale is None:
         guided = cond_logits.astype(np.float64)
     else:
-        uncond_logits = model.next_scale_logits(prefix, model.config.null_index,
-                                                cache=null_cache)
+        uncond_logits = _finite_logits(model.next_scale_logits(
+            prefix, model.config.null_index, cache=null_cache), "null", k)
         passes = 2
         strength = _guidance_strength(cfg, k, model.schedule.num_scales)
         guided = cfg_combine(cond_logits, uncond_logits, strength)
@@ -166,16 +174,26 @@ class GenerationResult:
 
 def generate(prior: PriorModel, tokenizer: TokenizerModel, c: int,
              cfg: SamplingConfig) -> GenerationResult:
-    """Sample every scale coarse to fine, then decode through the tokenizer."""
+    """Sample every scale coarse to fine, then decode through the tokenizer.
+
+    A non-finite logit or pixel reruns the call with per-op checks on, so the
+    NumericError names the op.
+    """
     if prior.schedule.sizes != tokenizer.schedule.sizes:
         raise ContractError("prior and tokenizer schedules differ")
-    prefix: list[np.ndarray] = []
-    passes = 0
-    caches = (ScaleCache(c), ScaleCache(prior.config.null_index))
-    for _ in prior.schedule.sizes:
-        grid, used = sample_scale(prior, prefix, c, cfg, caches)
-        prefix.append(grid)
-        passes += used
-    pyramid = TokenPyramid(tuple(prefix))
-    values = decode_batch(tokenizer, [g[None] for g in prefix])[0]
-    return GenerationResult(values=values, pyramid=pyramid, forward_passes=passes)
+
+    def walk() -> GenerationResult:
+        prefix: list[np.ndarray] = []
+        passes = 0
+        caches = (ScaleCache(c), ScaleCache(prior.config.null_index))
+        for _ in prior.schedule.sizes:
+            grid, used = sample_scale(prior, prefix, c, cfg, caches)
+            prefix.append(grid)
+            passes += used
+        values = decode_batch(tokenizer, [g[None] for g in prefix])[0]
+        if not np.isfinite(values).all():
+            raise NumericError("non-finite decoded image")
+        return GenerationResult(values=values, pyramid=TokenPyramid(tuple(prefix)),
+                                forward_passes=passes)
+
+    return checked_at_boundaries(walk)

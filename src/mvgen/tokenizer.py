@@ -500,6 +500,8 @@ def init_codebook_from_data(model: TokenizerModel, batch: np.ndarray, seed: int)
         fk = resize_bilinear_np(f, n, n)
         cells.append(fk.transpose(0, 2, 3, 1).reshape(-1, model.config.embed_dim))
     pool = np.concatenate(cells, axis=0)
+    if not np.isfinite(pool).all():
+        raise NumericError("codebook warm start received non-finite features")
     rng = rng_for(seed, "codebook-warm")
     picks = rng.choice(pool.shape[0], size=model.codebook.vocab_size,
                        replace=pool.shape[0] < model.codebook.vocab_size)

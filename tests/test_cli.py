@@ -282,6 +282,7 @@ class TestConfigTypes:
         ({"split": [0.5, 0.5]}, "split must be a list of 3 numbers, not [0.5, 0.5]"),
         ({"split": ["a", 0.5, 0.5]}, 'split must be a list of 3 numbers, not ["a", 0.5, 0.5]'),
         ({"noise_level": None}, "noise_level must be a number, not null"),
+        ({"labels": []}, "labels must name at least one label"),
         (b"\xff{}", "codec can't decode byte 0xff"),
         (None, "Is a directory"),
     ])
@@ -327,20 +328,48 @@ class TestBadCheckpoint:
         assert not (tmp_path / "tokenizer.mvckpt").exists()
 
 
+def sample_rewritten(workdir, tmp_path, name, edit):
+    """`mvgen sample` in tmp_path, on copies of workdir's checkpoints whose
+    `name` checkpoint edit(config, arrays) has changed."""
+    for kind in ("tokenizer", "prior"):
+        (tmp_path / f"{kind}.mvckpt").write_bytes((workdir / f"{kind}.mvckpt").read_bytes())
+    config, arrays = ckpt.read_checkpoint(tmp_path / f"{name}.mvckpt")
+    edit(config, arrays)
+    ckpt.write_checkpoint(tmp_path / f"{name}.mvckpt", config, arrays)
+    return run_cli("sample", "--workdir", str(tmp_path), "--label", "ring_with_core",
+                   "--count", "1")
+
+
 class TestSectionShapes:
     """A checkpoint section whose shape the model does not expect exits 2."""
 
     @pytest.mark.parametrize("name,section", [("prior", "head.w"), ("prior", "code_table"),
                                               ("tokenizer", "codebook.embeddings")])
     def test_sample_exits_2(self, workdir, tmp_path, name, section):
-        for kind in ("tokenizer", "prior"):
-            (tmp_path / f"{kind}.mvckpt").write_bytes((workdir / f"{kind}.mvckpt").read_bytes())
-        config, arrays = ckpt.read_checkpoint(tmp_path / f"{name}.mvckpt")
-        arrays[section] = np.zeros((3, 3), dtype=np.float32)
-        ckpt.write_checkpoint(tmp_path / f"{name}.mvckpt", config, arrays)
-        out = run_cli("sample", "--workdir", str(tmp_path), "--label", "ring_with_core",
-                      "--count", "1")
+        out = sample_rewritten(workdir, tmp_path, name, lambda config, arrays: arrays.update(
+            {section: np.zeros((3, 3), dtype=np.float32)}))
         assert_rejected(out, f"section '{section}' has shape (3, 3)")
+
+
+@pytest.mark.parametrize("name,key,value,needle", [
+    ("tokenizer", "vocab_size", "16", 'TokenizerConfig: vocab_size must be an integer, not "16"'),
+    ("prior", "cond_dropout_p", None, "PriorConfig: cond_dropout_p must be a number, not null"),
+])
+def test_mistyped_checkpoint_header_exits_2(workdir, tmp_path, name, key, value, needle):
+    out = sample_rewritten(workdir, tmp_path, name,
+                           lambda config, arrays: config.update({key: value}))
+    assert_rejected(out, needle)
+
+
+def test_nan_weight_sample_exits_3_naming_the_op(workdir, tmp_path):
+    def plant_nan(config, arrays):
+        arrays["block0.ffn1.w"][0, 0] = np.nan
+
+    out = sample_rewritten(workdir, tmp_path, "prior", plant_nan)
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("numeric failure: ") and out.stderr.count("\n") == 1
+    assert "non-finite values produced by op 'matmul'" in out.stderr
 
 
 class TestSample:

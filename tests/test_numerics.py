@@ -350,6 +350,44 @@ class TestClipGradNorm:
         nx.clip_grad_norm([p1], max_norm)
         assert np.allclose(p1.grad, once, rtol=1e-12, atol=1e-15)
 
+    def test_nan_gradient_raises_and_scales_nothing(self):
+        a, b = nx.Parameter(np.zeros(2)), nx.Parameter(np.zeros(1))
+        a.grad, b.grad = np.array([np.nan, 3.0]), np.array([4.0])
+        with pytest.raises(nx.NumericError, match="gradient norm is nan"):
+            nx.clip_grad_norm([a, b], 1.0)
+        assert np.array_equal(a.grad, [np.nan, 3.0], equal_nan=True)
+        assert np.array_equal(b.grad, [4.0])
+
+
+def test_boundary_error_stands_when_the_rerun_passes():
+    calls = []
+
+    def run():
+        calls.append(len(calls))
+        if calls == [0]:
+            raise nx.NumericError("boundary")
+
+    with pytest.raises(nx.NumericError, match="boundary"):
+        nx.checked_at_boundaries(run)
+    assert calls == [0, 1]
+
+
+class TestTrainLoop:
+    def test_non_finite_gradient_names_the_op_and_moves_no_weight(self):
+        # sqrt is finite at 0, its gradient is not
+        x, y = nx.Parameter(np.array([0.0, 4.0])), nx.Parameter(np.array([1.0]))
+        before = [x.values.copy(), y.values.copy()]
+
+        def loss_at(step):
+            return nx.power(x, 0.5).sum() + (y * y).sum(), None
+
+        with np.errstate(divide="ignore"), pytest.raises(
+                nx.NumericError, match="toy training diverged at step 0: "
+                                       "non-finite gradient produced by op 'power'"):
+            nx.train_loop([x, y], nx.OptimizerConfig(warmup_steps=0, total_steps=5), 32, 2, 0,
+                          1, "toy", loss_at)
+        assert all(np.array_equal(p.values, v) for p, v in zip([x, y], before))
+
 
 def test_unbroadcast_reduces_correctly():
     g = np.ones((2, 3, 4))

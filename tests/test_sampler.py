@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from mvgen import prior as pr
 from mvgen import sampler as smp
 from mvgen import tokenizer as tok
-from mvgen.numerics import ContractError
+from mvgen import numerics as nx
+from mvgen.numerics import ContractError, NumericError
 
 
 def toy_prior(schedule=(1, 2), vocab=8, seed=1, bias=None):
@@ -242,6 +243,18 @@ class TestGenerate:
         for a, b in zip(out.pyramid.grids, prefix):
             assert np.array_equal(a, b)
         assert np.array_equal(out.values, tok.decode_batch(tkn, [g[None] for g in prefix])[0])
+
+    def test_nan_weight_names_the_op_and_per_op_checks_come_back(self):
+        model, tkn = toy_prior(), matched_tokenizer()
+        cfg = smp.SamplingConfig(cfg_scale=2.0, seed=3)
+        smp.generate(model, tkn, 0, cfg)
+        with pytest.raises(NumericError, match="log"):
+            nx.log(nx.Tensor([-1.0]))
+        model.params["block0.ffn1.w"].values[0, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite values produced by op 'matmul'"):
+            smp.generate(model, tkn, 0, cfg)
+        with pytest.raises(NumericError, match="log"):
+            nx.log(nx.Tensor([-1.0]))
 
     def test_mismatched_schedules_rejected(self):
         model = toy_prior(schedule=(1, 2))

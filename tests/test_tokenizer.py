@@ -235,9 +235,12 @@ class TestTraining:
 
     def test_divergence_names_component_and_step(self, tiny_model):
         opt = OptimizerConfig(peak_lr=1e-3, warmup_steps=1, total_steps=5)
-        with pytest.raises(NumericError, match="tokenizer training diverged at step 0"):
+        before = tiny_model.codebook.embeddings.copy()
+        with pytest.raises(NumericError, match="tokenizer training diverged at step 0: "
+                                               "non-finite values produced by op 'conv2d'"):
             tok.train_tokenizer(np.full((4, 8, 8), np.nan), tiny_model, opt, steps=1,
                                 batch_size=2)
+        assert np.array_equal(tiny_model.codebook.embeddings, before)  # no warm start written
 
     def test_dead_code_reseeding_revives(self, tiny_model):
         rng = np.random.default_rng(7)
