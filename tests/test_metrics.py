@@ -226,6 +226,13 @@ class TestEvaluate:
         assert np.array_equal(a, b)
         assert a.shape == (6, 8)
 
+    def test_embedding_independent_of_chunk_size(self, embedder):
+        rng = np.random.default_rng(11)
+        images = rng.random((70, 32, 32))
+        whole = embedder.embed(images, chunk=70)
+        for chunk in (1, 7, 32, 128):
+            assert embedder.embed(images, chunk=chunk).tobytes() == whole.tobytes()
+
 
 def test_gaussian_stats_validation():
     with pytest.raises(ContractError):
