@@ -105,8 +105,13 @@ def write_checkpoint(path: str | os.PathLike, config: dict, arrays: dict[str, np
 
 def read_artifact(path: str | os.PathLike, decode):
     """decode(the file's bytes); an ArtifactError names the file."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except FileNotFoundError:
+        raise
+    except OSError as err:  # a directory, a name too long, no permission
+        raise ArtifactError(f"{os.fspath(path)}: {err.strerror}") from None
     try:
         return decode(blob)
     except ArtifactError as err:

@@ -56,6 +56,8 @@ class CorpusConfig:
     def __post_init__(self):
         if not self.labels:
             raise ConfigError("corpus config: labels must name at least one label")
+        dg.label_table(((l.id, l.name) for l in self.labels),
+                       lambda why: ConfigError(f"corpus config: {why}"))
 
 
 @dataclasses.dataclass
@@ -118,6 +120,21 @@ def _load_config_file(path: str | None):
         raise ConfigError(f"config file {path}: {err}") from None
 
 
+def _header_labels(path: str, config: dict, n_labels: int | None = None) -> dict[int, str]:
+    """The {id: name} label table in the header config of the checkpoint at
+    path; ArtifactError naming path unless it is one, of n_labels when given."""
+    def error(why: str):
+        return ckpt.ArtifactError(f"{path}: {why}")
+
+    labels = config.get("labels")
+    if not isinstance(labels, dict):
+        raise error(f"labels must map ids to names, not {json.dumps(labels)[:80]}")
+    table = dg.label_table(labels.items(), error)
+    if n_labels is not None and len(table) != n_labels:
+        raise error(f"{len(table)} labels for a prior of n_labels={n_labels}")
+    return table
+
+
 def _picked(args, *names) -> dict:
     """The named command-line arguments, for a config echo."""
     return {name: getattr(args, name) for name in names}
@@ -155,7 +172,7 @@ def cmd_datagen(args) -> int:
     dg.save_corpus(corpus, out_dir)
     _echo_config({"command": "datagen", "corpus": dataclasses.asdict(cfg)},
                  os.path.join(out_dir, "corpus_config.json"))
-    print(f"slices: {sum(len(v) for v in corpus.slices.values())}")
+    print(f"slices: {len(corpus.records)}")
     print(f"manifest sha256: {corpus.manifest_hash()}")
     return EXIT_OK
 
@@ -165,7 +182,11 @@ def _resume(path: str, load, schedule, source: str):
     model, config = load(path)
     if tuple(model.config.schedule) != tuple(schedule):
         raise ConfigError(f"checkpoint schedule does not match the {source}")
-    return model, int(config.get("train_step", 0))
+    step = config.get("train_step", 0)
+    if type(step) is not int or step < 0:
+        raise ckpt.ArtifactError(f"{path}: train_step must be a non-negative integer, "
+                                 f"not {json.dumps(step)}")
+    return model, step
 
 
 def _train(args, cfg, model, start_step: int, fit, save, extra: dict) -> int:
@@ -224,8 +245,11 @@ def _train_prior(args, data: dict) -> int:
     tokenizer, tok_config = tok.load_tokenizer(tok_path)
     corpus = dg.load_corpus(os.path.join(args.workdir, cfg.corpus_dir),
                             dtype=tokenizer.config.np_dtype())
-    labels_cfg = tok_config.get("labels") or {
-        str(k): v for k, v in corpus.label_names.items()}
+    tok_labels = _header_labels(tok_path, tok_config) if "labels" in tok_config else None
+    if tok_labels not in (None, corpus.label_names):
+        raise ConfigError(f"corpus labels {corpus.label_names} differ from the "
+                          f"{tok_labels} of {tok_path}")
+    labels_cfg = {str(k): v for k, v in corpus.label_names.items()}
     prior_cfg = ckpt.config_from(pr.PriorConfig, vars(cfg), vocab_size=tokenizer.config.vocab_size,
                                  schedule=tokenizer.config.schedule, n_labels=len(labels_cfg),
                                  code_dim=tokenizer.config.embed_dim)
@@ -254,8 +278,10 @@ def cmd_train(args) -> int:
 def _load_models(args):
     """The tokenizer and prior that args name, and the prior's id for args.label."""
     tokenizer, _ = tok.load_tokenizer(os.path.join(args.workdir, args.tokenizer))
-    model, prior_config = pr.load_prior(os.path.join(args.workdir, args.prior))
-    by_name = {v: int(k) for k, v in (prior_config.get("labels") or {}).items()}
+    prior_path = os.path.join(args.workdir, args.prior)
+    model, prior_config = pr.load_prior(prior_path)
+    by_name = {name: i for i, name in
+               _header_labels(prior_path, prior_config, model.config.n_labels).items()}
     if args.label not in by_name:
         raise ConfigError(f"unknown label '{args.label}'; known labels: {sorted(by_name)}")
     return tokenizer, model, by_name[args.label]

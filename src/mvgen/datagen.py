@@ -56,10 +56,6 @@ class DatasetLabel:
     id: int
     name: str
 
-    def __post_init__(self):
-        if self.id < 0:
-            raise ContractError("label ids must be non-negative")
-
 
 @dataclasses.dataclass(frozen=True)
 class PhantomSpec:
@@ -90,21 +86,28 @@ class RawSlice:
             raise ContractError("MRI intensities must be non-negative")
 
 
-@dataclasses.dataclass(frozen=True)
-class Slice:
-    values: np.ndarray
-    label: DatasetLabel
-
-    def __post_init__(self):
-        h, w = self.values.shape
-        if h != w:
-            raise ContractError("canonical slices are square")
-        if self.values.min() < 0.0 or self.values.max() > 1.0:
-            raise ContractError("slice values must lie in [0, 1]")
-
-
 def default_labels() -> list[tuple[DatasetLabel, str]]:
     return [(DatasetLabel(i, family), family) for i, family in enumerate(FAMILIES)]
+
+
+def _is_path_component(name) -> bool:
+    """Whether name is one plain file or directory name: printable ASCII (the
+    manifest's charset), no separator, and not '.' or '..'."""
+    return (isinstance(name, str) and name.isascii() and name.isprintable()
+            and name not in ("", ".", "..") and "/" not in name and "\\" not in name)
+
+
+def label_table(pairs: Iterable[tuple], error: Callable[[str], Exception] = ContractError
+                ) -> dict[int, str]:
+    """{id: name} from (id, name) pairs whose ids, as ints or decimal strings,
+    run 0..n-1 and whose names are distinct path components; error(why) if not."""
+    pairs = list(pairs)
+    ids, names = [i for i, _ in pairs], [name for _, name in pairs]
+    if sorted(map(str, ids)) != sorted(map(str, range(len(ids)))):
+        raise error(f"label ids must run 0..{len(ids) - 1}, not {ids}")
+    if not all(map(_is_path_component, names)) or len(set(names)) < len(names):
+        raise error(f"label names must be distinct path components, not {names}")
+    return {int(i): name for i, name in pairs}
 
 
 # -- phantom construction -----------------------------------------------------
@@ -337,6 +340,8 @@ def preprocess(raw: RawSlice, resolution: int) -> np.ndarray | None:
 
 # -- corpus -------------------------------------------------------------------
 
+SPLITS = ("train", "val", "test")
+
 
 @dataclasses.dataclass(frozen=True)
 class CorpusRecord:
@@ -348,11 +353,16 @@ class CorpusRecord:
 
 @dataclasses.dataclass
 class Corpus:
-    labels: list[DatasetLabel]
-    families: dict[int, str]
-    slices: dict[str, list[Slice]]  # split -> slices
+    """Per split, slice values (N, R, R) in [0, 1] and their label ids (N,);
+    the label table {id: name}, and one manifest record per slice."""
+    values: dict[str, np.ndarray]
+    labels: dict[str, np.ndarray]
+    label_names: dict[int, str]
     records: list[CorpusRecord]
-    resolution: int
+
+    @property
+    def resolution(self) -> int:
+        return self.values["train"].shape[-1]
 
     def manifest_text(self) -> str:
         lines = ["MVCORPUS 1"]
@@ -364,17 +374,16 @@ class Corpus:
         return hashlib.sha256(self.manifest_text().encode("ascii")).hexdigest()
 
 
-def _generate_corpus_item(spec: PhantomSpec, index: int, split_name: str, master_seed: int,
-                          resolution: int) -> tuple[Slice, CorpusRecord]:
+def _generate_slice(spec: PhantomSpec, index: int, split_name: str, master_seed: int,
+                    resolution: int) -> tuple[np.ndarray, CorpusRecord]:
     for attempt in range(8):
         seed = int(rng_for(master_seed, "sample", spec.label.id, index, attempt)
                    .integers(0, 2**31 - 1))
         values = preprocess(make_phantom(spec, seed), resolution)
         if values is not None:
             path = f"images/{spec.label.name}/{split_name}_{index:05d}.pgm"
-            return (Slice(values=values, label=spec.label),
-                    CorpusRecord(path=path, label_id=spec.label.id,
-                                 split=split_name, seed=seed))
+            return values, CorpusRecord(path=path, label_id=spec.label.id,
+                                        split=split_name, seed=seed)
     raise ContractError(
         f"phantom generation kept rejecting (label {spec.label.id}, index {index})")
 
@@ -382,36 +391,36 @@ def _generate_corpus_item(spec: PhantomSpec, index: int, split_name: str, master
 def build_corpus(specs: Iterable[PhantomSpec], per_label: int, resolution: int,
                  split: tuple[float, float, float] = (0.8, 0.1, 0.1),
                  master_seed: int = 0) -> Corpus:
+    """per_label slices of each spec, the first of them for training, the next
+    for validation and the rest for testing, in per-split arrays filled in place."""
     specs = list(specs)
     if per_label <= 0:
         raise ContractError("per_label must be positive")
+    if resolution < 1:
+        raise ContractError("canonical resolution must be positive")
     if abs(sum(split) - 1.0) > 1e-9:
         raise ContractError("split fractions must sum to 1")
     n_val = int(np.floor(per_label * split[1]))
     n_test = int(np.floor(per_label * split[2]))
     n_train = per_label - n_val - n_test
+    bounds = dict(zip(SPLITS, [(0, n_train), (n_train, n_train + n_val),
+                               (n_train + n_val, per_label)]))
 
-    slices: dict[str, list[Slice]] = {"train": [], "val": [], "test": []}
+    ids = np.array([s.label.id for s in specs], dtype=np.int64)
+    values = {k: np.empty((len(specs) * (hi - lo), resolution, resolution))
+              for k, (lo, hi) in bounds.items()}
     records: list[CorpusRecord] = []
-    for spec in specs:
-        for index in range(per_label):
-            split_name = ("train" if index < n_train
-                          else "val" if index < n_train + n_val else "test")
-            item, record = _generate_corpus_item(spec, index, split_name, master_seed,
-                                                 resolution)
-            slices[split_name].append(item)
-            records.append(record)
-    return Corpus(labels=[s.label for s in specs],
-                  families={s.label.id: s.family for s in specs},
-                  slices=slices, records=records, resolution=resolution)
-
-
-def split_arrays(corpus: Corpus, split: str, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """Stack one split into (values (N,R,R), label_ids (N,))."""
-    items = corpus.slices[split]
-    values = np.stack([s.values for s in items]).astype(dtype)
-    labels = np.array([s.label.id for s in items], dtype=np.int64)
-    return values, labels
+    for row, spec in enumerate(specs):
+        for split_name, (lo, hi) in bounds.items():
+            for index in range(lo, hi):
+                slice_values, record = _generate_slice(spec, index, split_name, master_seed,
+                                                       resolution)
+                values[split_name][row * (hi - lo) + index - lo] = slice_values
+                records.append(record)
+    return Corpus(values=values,
+                  labels={k: np.repeat(ids, hi - lo) for k, (lo, hi) in bounds.items()},
+                  label_names=label_table((s.label.id, s.label.name) for s in specs),
+                  records=records)
 
 
 def save_corpus(corpus: Corpus, out_dir: str | os.PathLike) -> None:
@@ -419,24 +428,19 @@ def save_corpus(corpus: Corpus, out_dir: str | os.PathLike) -> None:
     from . import pgmio
 
     out = os.fspath(out_dir)
-    by_split = {name: iter(items) for name, items in corpus.slices.items()}
+    rows = {name: iter(values) for name, values in corpus.values.items()}
     for record in corpus.records:
         path = os.path.join(out, record.path)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        pgmio.write_pgm(path, next(by_split[record.split]).values)
+        pgmio.write_pgm(path, next(rows[record.split]))
     write_artifact(os.path.join(out, "manifest.txt"), corpus.manifest_text().encode("ascii"))
 
 
-@dataclasses.dataclass
-class LoadedCorpus:
-    values: dict[str, np.ndarray]  # split -> (N, R, R)
-    labels: dict[str, np.ndarray]  # split -> (N,)
-    label_names: dict[int, str]
-    resolution: int
-
-
-def load_corpus(corpus_dir: str | os.PathLike, dtype=np.float32) -> LoadedCorpus:
-    """Read a saved corpus back from its manifest."""
+def load_corpus(corpus_dir: str | os.PathLike, dtype=np.float32) -> Corpus:
+    """Read a saved corpus back from its manifest, as dtype values. Each line
+    names an images/<label>/<file>.pgm path, one label directory per id, ids
+    run 0..n-1 and every slice has the first one's square size; an
+    ArtifactError names the manifest or the slice that breaks this."""
     from . import pgmio
 
     root = os.fspath(corpus_dir)
@@ -445,30 +449,40 @@ def load_corpus(corpus_dir: str | os.PathLike, dtype=np.float32) -> LoadedCorpus
         lines = fh.read().splitlines()
     if not lines or lines[0] != "MVCORPUS 1":
         raise ArtifactError(f"{manifest}: not an MVCORPUS manifest")
-    values: dict[str, list[np.ndarray]] = {"train": [], "val": [], "test": []}
-    labels: dict[str, list[int]] = {"train": [], "val": [], "test": []}
     records = []
+    names: dict[int, str] = {}
     for line in filter(None, lines[1:]):
         fields = line.split("\t")
-        if (len(fields) != 4 or "/" not in fields[0] or not fields[1].isdigit()
-                or fields[2] not in values or not fields[3].isdigit()):
+        parts = fields[0].split("/")
+        if (len(fields) != 4 or len(parts) != 3 or parts[0] != "images"
+                or not all(map(_is_path_component, parts)) or not parts[2].endswith(".pgm")
+                or fields[2] not in SPLITS
+                or not all(f.isdigit() and len(f) <= 10 for f in (fields[1], fields[3]))):
             raise ArtifactError(f"{manifest}: malformed line {line!r}")
-        records.append(CorpusRecord(path=fields[0], label_id=int(fields[1]),
-                                    split=fields[2], seed=int(fields[3])))
+        record = CorpusRecord(path=fields[0], label_id=int(fields[1]),
+                              split=fields[2], seed=int(fields[3]))
+        if names.setdefault(record.label_id, parts[1]) != parts[1]:
+            raise ArtifactError(f"{manifest}: label {record.label_id} has images under both "
+                                f"{names[record.label_id]} and {parts[1]}")
+        records.append(record)
     if not records:
         raise ArtifactError(f"{manifest}: lists no slices")
-    images = [pgmio.read_pgm(os.path.join(root, r.path)) for r in records]
-    names: dict[int, str] = {}
-    for record, img in zip(records, images):
-        values[record.split].append(img)
-        labels[record.split].append(record.label_id)
-        names.setdefault(record.label_id, record.path.split("/")[1])
-    stacked = {k: (np.stack(v).astype(dtype) if v else np.zeros((0, 0, 0), dtype=dtype))
-               for k, v in values.items()}
-    resolution = next(v.shape[1] for v in stacked.values() if v.size)
-    return LoadedCorpus(values=stacked,
-                        labels={k: np.array(v, dtype=np.int64) for k, v in labels.items()},
-                        label_names=names, resolution=resolution)
+    label_names = label_table(names.items(), lambda why: ArtifactError(f"{manifest}: {why}"))
+    by_split = {k: [r for r in records if r.split == k] for k in SPLITS}
+    res = pgmio.read_pgm(os.path.join(root, records[0].path)).shape[0]
+    values = {k: np.empty((len(rs), res, res), dtype=dtype) for k, rs in by_split.items()}
+    for split_name, rs in by_split.items():
+        for row, record in enumerate(rs):
+            path = os.path.join(root, record.path)
+            img = pgmio.read_pgm(path)
+            if img.shape != (res, res):
+                raise ArtifactError(f"{path}: a {img.shape[1]}x{img.shape[0]} slice in a "
+                                    f"corpus of {res}x{res} slices")
+            values[split_name][row] = img
+    return Corpus(values=values,
+                  labels={k: np.array([r.label_id for r in rs], dtype=np.int64)
+                          for k, rs in by_split.items()},
+                  label_names=label_names, records=records)
 
 
 # -- geometry detectors (independent oracles) ---------------------------------

@@ -251,9 +251,8 @@ def desk_run():
     specs = [dg.PhantomSpec(lbl, fam, 1.0, MASTER_SEED) for lbl, fam in dg.default_labels()]
     corpus = dg.build_corpus(specs, per_label=PER_LABEL, resolution=32,
                              master_seed=MASTER_SEED)
-    train, train_labels = dg.split_arrays(corpus, "train", dtype=np.float32)
-    val, val_labels = dg.split_arrays(corpus, "val", dtype=np.float32)
-    test, test_labels = dg.split_arrays(corpus, "test", dtype=np.float32)
+    train, val, test = (corpus.values[k].astype(np.float32) for k in ("train", "val", "test"))
+    train_labels, val_labels, test_labels = (corpus.labels[k] for k in ("train", "val", "test"))
     print(f"\n[acceptance] corpus built: {train.shape[0]}/{val.shape[0]}/{test.shape[0]} "
           f"({time.perf_counter() - start:.0f}s)")
 
@@ -355,8 +354,8 @@ def test_trained_condition_sensitivity(desk_run):
     tkn, prior_model = desk_run["tokenizer"], desk_run["prior"]
     corpus = desk_run["corpus"]
     test_by_label = {}
-    for s in corpus.slices["test"]:
-        test_by_label.setdefault(s.label.id, []).append(s.values)
+    for values, label_id in zip(corpus.values["test"], corpus.labels["test"]):
+        test_by_label.setdefault(int(label_id), []).append(values)
     for label_id, images in sorted(test_by_label.items()):
         grids = tok.encode_batch(tkn, np.stack(images[:10]).astype(np.float32))
         pyramids = [tok.TokenPyramid(tuple(g[i] for g in grids)) for i in range(10)]

@@ -285,6 +285,14 @@ class TestConfigTypes:
         ({"labels": []}, "labels must name at least one label"),
         (b"\xff{}", "codec can't decode byte 0xff"),
         (None, "Is a directory"),
+        ({"labels": [{"id": 0, "name": "ellipses", "family": "nested_ellipses"},
+                     {"id": 2, "name": "rings", "family": "ring_with_core"}]},
+         "corpus config: label ids must run 0..1, not [0, 2]"),
+        ({"labels": [{"id": 0, "name": "same", "family": "nested_ellipses"},
+                     {"id": 1, "name": "same", "family": "ring_with_core"}]},
+         "corpus config: label names must be distinct path components, not ['same', 'same']"),
+        ({"labels": [{"id": 0, "name": "../up", "family": "nested_ellipses"}]},
+         "label names must be distinct path components, not ['../up']"),
     ])
     def test_bad_corpus_config_exits_2(self, tmp_path, config, needle):
         path = tmp_path / "c.json"
@@ -328,6 +336,19 @@ class TestBadCheckpoint:
         assert not (tmp_path / "tokenizer.mvckpt").exists()
 
 
+@pytest.mark.parametrize("step", ["20", -1, 2.5])
+def test_mistyped_train_step_resume_exits_2(workdir, tmp_path, step):
+    write_json(tmp_path / "corpus.json", dict(SMALL_CORPUS, per_label=2))
+    run_cli("datagen", "--workdir", str(tmp_path), "--config", str(tmp_path / "corpus.json"))
+    write_json(tmp_path / "t.json", SMALL_TOKENIZER)
+    config, arrays = ckpt.read_checkpoint(workdir / "tokenizer.mvckpt")
+    ckpt.write_checkpoint(tmp_path / "resume.mvckpt", dict(config, train_step=step), arrays)
+    out = run_cli("train", "tokenizer", "--workdir", str(tmp_path),
+                  "--config", str(tmp_path / "t.json"), "--resume", str(tmp_path / "resume.mvckpt"))
+    assert_rejected(out, f"resume.mvckpt: train_step must be a non-negative integer, "
+                         f"not {json.dumps(step)}")
+
+
 def sample_rewritten(workdir, tmp_path, name, edit):
     """`mvgen sample` in tmp_path, on copies of workdir's checkpoints whose
     `name` checkpoint edit(config, arrays) has changed."""
@@ -354,10 +375,54 @@ class TestSectionShapes:
 @pytest.mark.parametrize("name,key,value,needle", [
     ("tokenizer", "vocab_size", "16", 'TokenizerConfig: vocab_size must be an integer, not "16"'),
     ("prior", "cond_dropout_p", None, "PriorConfig: cond_dropout_p must be a number, not null"),
+    ("prior", "labels", ["ring_with_core"],
+     'prior.mvckpt: labels must map ids to names, not ["ring_with_core"]'),
+    ("prior", "labels", {"zero": "ring_with_core"},
+     "prior.mvckpt: label ids must run 0..0, not ['zero']"),
+    ("prior", "labels", {"0": "nested_ellipses", "1": "ring_with_core"},
+     "prior.mvckpt: 2 labels for a prior of n_labels=4"),
+    ("prior", "labels", {"0": "a", "1": "a", "2": "ring_with_core", "3": "b"},
+     "prior.mvckpt: label names must be distinct path components"),
 ])
 def test_mistyped_checkpoint_header_exits_2(workdir, tmp_path, name, key, value, needle):
     out = sample_rewritten(workdir, tmp_path, name,
                            lambda config, arrays: config.update({key: value}))
+    assert_rejected(out, needle)
+
+
+@pytest.mark.parametrize("labels,needle", [
+    (["nested_ellipses"], 'tokenizer.mvckpt: labels must map ids to names, not ["nested_ellipses"]'),
+    ({"0": "parallel_bands", "1": "nested_ellipses", "2": "ring_with_core",
+      "3": "lattice_of_blobs"}, "differ from the {0: 'parallel_bands', 1: 'nested_ellipses'"),
+])
+def test_train_prior_checks_the_tokenizer_labels(workdir, tmp_path, labels, needle):
+    write_json(tmp_path / "corpus.json", dict(SMALL_CORPUS, per_label=2))
+    run_cli("datagen", "--workdir", str(tmp_path), "--config", str(tmp_path / "corpus.json"))
+    config, arrays = ckpt.read_checkpoint(workdir / "tokenizer.mvckpt")
+    ckpt.write_checkpoint(tmp_path / "tokenizer.mvckpt", dict(config, labels=labels), arrays)
+    out = run_cli("train", "prior", "--workdir", str(tmp_path))
+    assert_rejected(out, needle)
+    assert not (tmp_path / "prior.mvckpt").exists()
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (lambda root, first: pgmio.write_pgm(root / first, np.zeros((8, 8))),
+     "a 8x8 slice in a corpus of 16x16 slices"),
+    (lambda root, first: (root / "manifest.txt").write_text(
+        (root / "manifest.txt").read_text().replace(first, "images/ring_with_core")),
+     "malformed line 'images/ring_with_core\\t"),
+    (lambda root, first: (root / "manifest.txt").write_text(
+        (root / "manifest.txt").read_text().replace(first, first + "\0")),
+     "malformed line"),
+])
+def test_malformed_corpus_exits_2(tmp_path, edit, needle):
+    write_json(tmp_path / "corpus.json", dict(SMALL_CORPUS, per_label=2))
+    run_cli("datagen", "--workdir", str(tmp_path), "--config", str(tmp_path / "corpus.json"))
+    root = tmp_path / "corpus"
+    edit(root, (root / "manifest.txt").read_text().splitlines()[-1].split("\t")[0])
+    write_json(tmp_path / "t.json", dict(SMALL_TOKENIZER, steps=0))
+    out = run_cli("train", "tokenizer", "--workdir", str(tmp_path),
+                  "--config", str(tmp_path / "t.json"))
     assert_rejected(out, needle)
 
 

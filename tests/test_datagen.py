@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,9 +228,9 @@ def small_corpus():
 
 class TestBuildCorpus:
     def test_split_arithmetic(self, small_corpus):
-        assert len(small_corpus.slices["train"]) == 64
-        assert len(small_corpus.slices["val"]) == 8
-        assert len(small_corpus.slices["test"]) == 8
+        assert len(small_corpus.values["train"]) == 64
+        assert len(small_corpus.values["val"]) == 8
+        assert len(small_corpus.values["test"]) == 8
 
     def test_full_default_split_counts(self):
         # 4 labels x 500 at 0.8/0.1/0.1 -> 1600/200/200 (arithmetic only)
@@ -245,13 +247,13 @@ class TestBuildCorpus:
 
     def test_all_values_in_unit_interval(self, small_corpus):
         for split in ("train", "val", "test"):
-            for s in small_corpus.slices[split]:
-                assert s.values.min() >= 0.0 and s.values.max() <= 1.0
+            values = small_corpus.values[split]
+            assert values.min() >= 0.0 and values.max() <= 1.0
 
     def test_test_slices_pass_their_detector(self, small_corpus):
-        for s in small_corpus.slices["test"]:
-            family = small_corpus.families[s.label.id]
-            assert dg.geometry_detector(family)(s.values)
+        families = {lbl.id: fam for lbl, fam in dg.default_labels()}
+        for values, label_id in zip(small_corpus.values["test"], small_corpus.labels["test"]):
+            assert dg.geometry_detector(families[label_id])(values)
 
     def test_manifest_header(self, small_corpus):
         assert small_corpus.manifest_text().startswith("MVCORPUS 1\n")
@@ -260,6 +262,18 @@ class TestBuildCorpus:
         specs = [dg.PhantomSpec(lbl, fam, 1.0, 7) for lbl, fam in dg.default_labels()]
         with pytest.raises(ContractError):
             dg.build_corpus(specs, per_label=0, resolution=32)
+
+    @pytest.mark.parametrize("labels,needle", [
+        ([(0, "a"), (2, "b")], r"label ids must run 0\.\.1, not \[0, 2\]"),
+        ([(-1, "a")], r"label ids must run 0\.\.0, not \[-1\]"),
+        ([(0, "same"), (1, "same")], "label names must be distinct path components"),
+        ([(0, "a/b")], "label names must be distinct path components"),
+    ])
+    def test_bad_label_table_rejected(self, labels, needle):
+        specs = [dg.PhantomSpec(dg.DatasetLabel(i, name), dg.FAMILIES[0], 1.0, 7)
+                 for i, name in labels]
+        with pytest.raises(ContractError, match=needle):
+            dg.build_corpus(specs, per_label=2, resolution=16)
 
     def test_bad_split_rejected(self):
         specs = [dg.PhantomSpec(lbl, fam, 1.0, 7) for lbl, fam in dg.default_labels()]
@@ -334,6 +348,15 @@ class TestManifest:
         lambda lines: lines + ["images/x/a.pgm\tzero\ttrain\t1"],
         lambda lines: lines + ["images/x/a.pgm\t0\tholdout\t1"],
         lambda lines: lines + ["a.pgm\t0\ttrain\t1"],
+        lambda lines: lines + ["images/ring_with_core\t2\ttrain\t1"],
+        lambda lines: lines + ["images/ring_with_core/a\0.pgm\t2\ttrain\t1"],
+        lambda lines: lines + ["images/../ring_with_core/train_00000.pgm\t2\ttrain\t1"],
+        lambda lines: lines + ["/images/ring_with_core/train_00000.pgm\t2\ttrain\t1"],
+        lambda lines: lines + ["images/ring_with_core/train_00000.png\t2\ttrain\t1"],
+        lambda lines: lines + ["images/ring_with_core/train_00000.pgm\t0\ttrain\t1"],
+        lambda lines: [line.replace("\t3\t", "\t5\t") for line in lines],
+        lambda lines: [line.replace("parallel_bands/", "nested_ellipses/") for line in lines],
+        lambda lines: lines + ["images/ring_with_core/train_00000.pgm\t2\ttrain\t" + "1" * 5000],
     ])
     def test_malformed_manifest_raises_artifact_error(self, saved, edit):
         path = saved / "manifest.txt"
@@ -346,3 +369,76 @@ class TestManifest:
         first.write_bytes(first.read_bytes()[:-1])
         with pytest.raises(ArtifactError, match=first.name):
             dg.load_corpus(saved)
+
+    def test_slice_of_another_size_raises_artifact_error(self, saved):
+        last = saved / (saved / "manifest.txt").read_text().splitlines()[-1].split("\t")[0]
+        pgmio.write_pgm(last, np.zeros((8, 8)))
+        with pytest.raises(ArtifactError, match=f"{last.name}: a 8x8 slice in a corpus of 32x32"):
+            dg.load_corpus(saved)
+
+    def test_path_naming_a_directory_raises_artifact_error(self, saved):
+        (saved / "images" / "ring_with_core" / "dir.pgm").mkdir()
+        manifest = saved / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "images/ring_with_core/dir.pgm\t2\ttest\t1\n")
+        with pytest.raises(ArtifactError, match="dir.pgm: Is a directory"):
+            dg.load_corpus(saved)
+
+    def test_path_too_long_to_open_raises_artifact_error(self, saved):
+        manifest = saved / "manifest.txt"
+        name = "x" * 300 + ".pgm"
+        manifest.write_text(manifest.read_text() + f"images/ring_with_core/{name}\t2\ttest\t1\n")
+        with pytest.raises(ArtifactError, match=f"{name}: File name too long"):
+            dg.load_corpus(saved)
+
+    def test_loads_the_saved_corpus(self, saved, small_corpus):
+        loaded = dg.load_corpus(saved, dtype=np.float64)
+        assert loaded.records == small_corpus.records
+        assert loaded.label_names == small_corpus.label_names
+        assert loaded.resolution == small_corpus.resolution == 32
+        for split in ("train", "val", "test"):
+            assert np.array_equal(loaded.labels[split], small_corpus.labels[split])
+            assert np.abs(loaded.values[split] - small_corpus.values[split]).max() <= 0.5 / 255
+
+
+@pytest.fixture(scope="module")
+def fuzzed(tmp_path_factory, small_corpus):
+    """A saved small corpus whose manifest each example rewrites, and its text."""
+    root = tmp_path_factory.mktemp("fuzzed")
+    dg.save_corpus(small_corpus, root)
+    return root, (root / "manifest.txt").read_bytes()
+
+
+def mutations(text: bytes):
+    """Cuts, byte edits, insertions, deletions and reordered line picks of text."""
+    lines = text.split(b"\n")
+    n = len(text)
+    alphabet = st.sampled_from([bytes([c]) for c in b"\t\n/.\x00 0123456789_aeglmprst\xff"])
+    return st.one_of(
+        st.integers(0, n).map(lambda k: text[:k]),
+        st.tuples(st.integers(0, n - 1), alphabet).map(
+            lambda t: text[:t[0]] + t[1] + text[t[0] + 1:]),
+        st.tuples(st.integers(0, n), st.lists(alphabet, max_size=6)).map(
+            lambda t: text[:t[0]] + b"".join(t[1]) + text[t[0]:]),
+        st.tuples(st.integers(0, n), st.integers(0, 40)).map(
+            lambda t: text[:t[0]] + text[t[0] + t[1]:]),
+        st.lists(st.integers(1, len(lines) - 1), max_size=12).map(
+            lambda picks: b"\n".join([lines[0]] + [lines[i] for i in picks]) + b"\n"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_manifest_loads_or_raises_artifact_error(fuzzed, data):
+    root, text = fuzzed
+    (root / "manifest.txt").write_bytes(data.draw(mutations(text)))
+    try:
+        corpus = dg.load_corpus(root)
+    except ArtifactError:
+        return
+    except FileNotFoundError as err:  # a well-formed path that names no file
+        parts = os.path.relpath(err.filename, root).split("/")
+        assert len(parts) == 3 and parts[0] == "images" and parts[2].endswith(".pgm")
+        assert ".." not in parts and not any("\0" in p for p in parts)
+        return
+    assert isinstance(corpus, dg.Corpus)
+    assert sum(len(v) for v in corpus.values.values()) == len(corpus.records)
+    assert sorted(corpus.label_names) == list(range(len(corpus.label_names)))
