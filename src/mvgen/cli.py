@@ -474,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ContractError, ckpt.ArtifactError, FileNotFoundError) as err:
+    except (ConfigError, ContractError, ckpt.ArtifactError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as err:

@@ -1,10 +1,11 @@
 """Multi-scale residual vector-quantized autoencoder.
 
-Encoding walks the scale schedule coarse to fine: at each scale the running
-latent residual is aligned down to that scale, quantized against a single
-shared codebook, and the decoded refinement (upsampled back to the full latent
-extent and passed through a per-scale Phi, half the input plus half a 3x3 conv
-of it, as in VAR) is subtracted before the next scale sees the residual.
+Training and encoding run one walk over the scale schedule, coarse to fine:
+at each scale the running latent residual is aligned down to that scale,
+quantized against a single shared codebook, and the refinement of its codes
+(upsampled back to the full latent extent and passed through a per-scale Phi,
+half the input plus half a 3x3 conv of it, as in VAR) is subtracted before the
+next scale sees the residual.
 Reconstruction sums the same refinements and feeds them to the decoder.
 Training uses straight-through gradients across the quantizer, an EMA-updated
 codebook with dead-code reseeding, a commitment penalty pulling
@@ -306,27 +307,32 @@ def _check_pyramid(pyramid: TokenPyramid, model: TokenizerModel) -> None:
             raise ContractError("token index out of codebook range")
 
 
-def _refinement(model: TokenizerModel, k: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale k's codes for indices idx, and their refinement phi_k(up(codes)) (no grad)."""
-    n_latent = model.schedule.latent_size
-    zq = _lookup(idx, model.codebook.embeddings).astype(model.config.np_dtype())
-    return zq, model.phi(k, as_tensor(resize_bilinear_np(zq, n_latent, n_latent))).values
+def _walk(model: TokenizerModel, images: np.ndarray,
+          grids: Sequence[np.ndarray] | None = None,
+          offsets: Sequence[np.ndarray] | None = None) -> tuple[Tensor, list[tuple]]:
+    """The coarse-to-fine walk over (B, R, R) images -> (encoder output, per
+    scale (fk, indices, codes, refinement, residual after the subtraction)).
 
-
-def _walk(model: TokenizerModel, images: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
-    """The no-grad coarse-to-fine walk over (B, R, R) images -> (encoder output,
-    per scale (fk, indices, codes, residual after the scale's subtraction))."""
+    Scale k quantizes fk, the running residual aligned down to n_k, to codes
+    zq and subtracts the refinement phi_k(up(st)), st = fk + sg(zq - fk).
+    grids[k] replaces the quantizer's choice and offsets[k] sg(zq - fk).
+    Training runs it with gradients; encoding runs it under no_grad, so both
+    quantize the same values.
+    """
     dtype = model.config.np_dtype()
+    emb = model.codebook.embeddings
+    n_latent = model.schedule.latent_size
+    latent = model.encoder_forward(as_tensor(images[:, None, :, :].astype(dtype)))
+    f = latent
     scales = []
-    with no_grad():
-        latent = model.encoder_forward(as_tensor(images[:, None, :, :].astype(dtype))).values
-        f = latent
-        for k, n in enumerate(model.schedule.sizes):
-            fk = resize_bilinear_np(f, n, n)
-            idx = _quantize_grid(fk, model.codebook.embeddings)
-            zq, refinement = _refinement(model, k, idx)
-            f = f - refinement
-            scales.append((fk, idx, zq, f))
+    for k, n in enumerate(model.schedule.sizes):
+        fk = resize_bilinear(f, n, n)
+        idx = _quantize_grid(fk.values, emb) if grids is None else np.asarray(grids[k])
+        zq = _lookup(idx, emb).astype(dtype)
+        offset = stop_gradient(as_tensor(zq) - fk) if offsets is None else as_tensor(offsets[k])
+        refinement = model.phi(k, resize_bilinear(fk + offset, n_latent, n_latent))
+        f = f - refinement
+        scales.append((fk, idx, zq, refinement, f))
     return latent, scales
 
 
@@ -335,7 +341,8 @@ def encode_batch(model: TokenizerModel, images: np.ndarray) -> list[np.ndarray]:
     r = model.config.resolution
     if images.ndim != 3 or images.shape[1:] != (r, r):
         raise ContractError(f"expected (B, {r}, {r}) images")
-    return [idx for _, idx, _, _ in _walk(model, images)[1]]
+    with no_grad():
+        return [idx for _, idx, *_ in _walk(model, images)[1]]
 
 
 def encode(x: np.ndarray, model: TokenizerModel) -> TokenPyramid:
@@ -358,7 +365,8 @@ def decode_batch(model: TokenizerModel, grids: Sequence[np.ndarray],
             idx = np.asarray(grids[k])
             if idx.size and idx.max() >= model.codebook.vocab_size:
                 raise ContractError("token index out of codebook range")
-            f = f + _refinement(model, k, idx)[1]
+            zq = _lookup(idx, model.codebook.embeddings).astype(f.dtype)
+            f = f + model.phi(k, as_tensor(resize_bilinear_np(zq, n_latent, n_latent))).values
         out = model.decoder_forward(as_tensor(f)).values[:, 0]
     return np.clip(out, 0.0, 1.0)
 
@@ -382,72 +390,61 @@ class _StepStats:
 class StAnchor:
     """Per-scale quantizer state captured at a fixed parameter point.
 
-    The straight-through estimator backpropagates through st = f + sg(zq - f);
-    replacing sg(zq - f) with the captured constant offset, and the walk
-    term's sg(f) with the captured encoder output, turns the loss into a
-    smooth function whose exact gradient equals the estimator's output, so
-    central finite differences become a valid oracle for it.
+    The walk subtracts phi_k(up(st)) with st = fk + sg(zq - fk). Replaying the
+    captured indices, replacing sg(zq - fk) with the captured constant offset
+    and the walk term's sg(f) with the captured encoder output turns the loss
+    into a smooth function whose exact gradient equals the straight-through
+    estimator's output, so central finite differences become a valid oracle
+    for it.
     """
 
     offset: np.ndarray  # zq - fk, (B, C, n, n)
-    codes: np.ndarray  # zq, (B, C, n, n)
+    indices: np.ndarray  # quantizer choice, (B, n, n)
     latent: np.ndarray  # encoder output f, (B, C, nK, nK); shared by all scales
 
 
 def st_anchors(model: TokenizerModel, batch: np.ndarray) -> list[StAnchor]:
     """Capture straight-through anchors for `batch` at the current weights."""
-    latent, scales = _walk(model, batch)
-    return [StAnchor(offset=zq - fk, codes=zq, latent=latent) for fk, _, zq, _ in scales]
+    with no_grad():
+        latent, scales = _walk(model, batch)
+    return [StAnchor(offset=zq - fk.values, indices=idx, latent=latent.values)
+            for fk, idx, zq, *_ in scales]
 
 
 def training_graph(model: TokenizerModel, batch: np.ndarray,
                    frozen_grids: Sequence[np.ndarray] | None = None,
                    anchors: Sequence[StAnchor] | None = None
                    ) -> tuple[Tensor, _StepStats]:
-    """Build the straight-through loss graph for one batch.
+    """Build the straight-through loss graph for one batch from `_walk`.
 
     loss = recon + beta_commit * sum_k mean((fk - zq_k)^2)
                  + WALK_WEIGHT * mean_k mean((sg(f) - sum_{j<=k} phi_j(up(zq_j)))^2)
 
-    The last term is the walk term: the full-resolution residual left after
-    each scale, averaged over scales as in VAR's multi-scale quantizer loss.
-    The encoder output f and the codes are held constant in it, so it trains
-    only the refinements phi_j, to cancel what the walk subtracts.
+    recon decodes the sum of the walk's refinements phi_k(up(st_k)). The last
+    term is the walk term: the full-resolution residual left after each scale,
+    averaged over scales as in VAR's multi-scale quantizer loss. The encoder
+    output f and the codes are held constant in it, so it trains only the
+    refinements phi_j, to cancel what the walk subtracts.
 
     frozen_grids pins the quantizer's index choices. anchors additionally
     replaces the stop-gradient offset and sg(f) with captured constants (see
     StAnchor), which the gradient oracle differentiates by finite differences.
     """
     cfg = model.config
-    dtype = cfg.np_dtype()
-    emb = model.codebook.embeddings
-    v, c = emb.shape
+    v, c = model.codebook.embeddings.shape
     n_latent = model.schedule.latent_size
-
-    x = as_tensor(batch[:, None, :, :].astype(dtype))
-    f = model.encoder_forward(x)
+    if anchors is not None:
+        frozen_grids = [a.indices for a in anchors]
+    offsets = None if anchors is None else [a.offset for a in anchors]
+    latent, scales = _walk(model, batch, frozen_grids, offsets)
     # the walk term's residual starts from sg(f)
-    residual = as_tensor(f.values if anchors is None else anchors[0].latent)
+    residual = as_tensor(latent.values if anchors is None else anchors[0].latent)
     counts = np.zeros(v, dtype=np.float64)
     sums = np.zeros((v, c), dtype=np.float64)
     pool = []
-    recon_feat = None
-    commit = None
-    walk = None
-    for k, n in enumerate(model.schedule.sizes):
-        fk = resize_bilinear(f, n, n)
-        if anchors is not None:
-            zq = anchors[k].codes
-            st = fk + as_tensor(anchors[k].offset)
-            flat_idx = np.zeros(zq.shape[0] * n * n, dtype=np.int64)
-        else:
-            if frozen_grids is None:
-                idx = _quantize_grid(fk.values, emb)
-            else:
-                idx = np.asarray(frozen_grids[k])
-            zq = _lookup(idx, emb).astype(dtype)
-            st = fk + stop_gradient(as_tensor(zq) - fk)  # straight-through selection
-            flat_idx = idx.reshape(-1)
+    recon_feat = commit = walk = None
+    for k, (fk, idx, zq, refinement, _) in enumerate(scales):
+        flat_idx = idx.reshape(-1)
         flat_feat = fk.values.transpose(0, 2, 3, 1).reshape(-1, c)
         counts += np.bincount(flat_idx, minlength=v)
         np.add.at(sums, flat_idx, flat_feat.astype(np.float64))
@@ -455,15 +452,13 @@ def training_graph(model: TokenizerModel, batch: np.ndarray,
 
         term = ((fk - as_tensor(zq)) ** 2.0).mean()
         commit = term if commit is None else commit + term
-        contrib = model.phi(k, resize_bilinear(st, n_latent, n_latent))
-        recon_feat = contrib if recon_feat is None else recon_feat + contrib
-        f = f - contrib
+        recon_feat = refinement if recon_feat is None else recon_feat + refinement
         residual = residual - model.phi(k, as_tensor(resize_bilinear_np(zq, n_latent, n_latent)))
         term = (residual ** 2.0).mean()
         walk = term if walk is None else walk + term
 
     x_hat = model.decoder_forward(recon_feat)
-    recon = ((x_hat - x) ** 2.0).mean()
+    recon = ((x_hat - as_tensor(batch[:, None, :, :].astype(cfg.np_dtype()))) ** 2.0).mean()
     loss = recon + cfg.beta_commit * commit + walk * (WALK_WEIGHT / model.schedule.num_scales)
     pooled = np.concatenate(pool, axis=0)
     return loss, _StepStats(counts=counts, sums=sums, feature_pool=pooled)
@@ -535,7 +530,9 @@ def residual_energies(model: TokenizerModel, images: np.ndarray) -> list[float]:
     On trained models the sequence is expected to be non-increasing: every
     scale's quantized refinement removes part of what remains.
     """
-    return [float((f.astype(np.float64) ** 2).mean()) for *_, f in _walk(model, images)[1]]
+    with no_grad():
+        scales = _walk(model, images)[1]
+    return [float((f.values.astype(np.float64) ** 2).mean()) for *_, f in scales]
 
 
 def _squared_errors(model: TokenizerModel, images: np.ndarray, chunk: int,

@@ -245,8 +245,9 @@ def test_criterion_7_sampling_contracts(tiny_prior):
 # -- criteria 8 & 10: the desk-scale end-to-end run ------------------------------
 
 
-@pytest.fixture(scope="module")
-def desk_run():
+def desk_pipeline(tokenizer_seeds, prior_seeds):
+    """The desk-scale run for one (model init, training stream) seed pair each
+    of the tokenizer and the prior: corpus, both models and the samples."""
     start = time.perf_counter()
     specs = [dg.PhantomSpec(lbl, fam, 1.0, MASTER_SEED) for lbl, fam in dg.default_labels()]
     corpus = dg.build_corpus(specs, per_label=PER_LABEL, resolution=32,
@@ -257,19 +258,19 @@ def desk_run():
           f"({time.perf_counter() - start:.0f}s)")
 
     tkn = tok.TokenizerModel.create(tok.TokenizerConfig(dtype="float32"),
-                                    seed=TOKENIZER_SEEDS[0])
+                                    seed=tokenizer_seeds[0])
     opt_t = OptimizerConfig(peak_lr=3e-3, warmup_steps=150, total_steps=TOKENIZER_STEPS)
     tok.train_tokenizer(train, tkn, opt_t, steps=TOKENIZER_STEPS, batch_size=16,
-                        seed=TOKENIZER_SEEDS[1])
+                        seed=tokenizer_seeds[1])
     print(f"[acceptance] tokenizer trained ({time.perf_counter() - start:.0f}s)")
 
     train_grids = tok.encode_batch(tkn, train)
     val_grids = tok.encode_batch(tkn, val)
     prior_model = pr.PriorModel.create(pr.PriorConfig(dtype="float32"),
-                                       tkn.codebook.embeddings, seed=PRIOR_SEEDS[0])
+                                       tkn.codebook.embeddings, seed=prior_seeds[0])
     opt_p = OptimizerConfig(peak_lr=1e-3, warmup_steps=100, total_steps=PRIOR_STEPS)
     pr.train_prior(train_grids, train_labels, prior_model, opt_p, steps=PRIOR_STEPS,
-                   batch_size=32, seed=PRIOR_SEEDS[1])
+                   batch_size=32, seed=prior_seeds[1])
     print(f"[acceptance] prior trained ({time.perf_counter() - start:.0f}s)")
 
     families = {lbl.id: fam for lbl, fam in dg.default_labels()}
@@ -298,6 +299,34 @@ def desk_run():
     }
 
 
+@pytest.fixture(scope="module")
+def desk_run():
+    return desk_pipeline(TOKENIZER_SEEDS, PRIOR_SEEDS)
+
+
+def prefix_mses(run) -> list[float]:
+    """Held-out reconstruction MSE from the first k scales, k = 1..K."""
+    return [tok.reconstruction_mse(run["tokenizer"], run["val"], upto_scale=k)
+            for k in range(1, 5)]
+
+
+def detector_rates(run) -> dict[int, float]:
+    """Share of each label's guided samples its family's detector accepts."""
+    rates = {}
+    for label_id, images in run["guided_by_label"].items():
+        detector = dg.geometry_detector(run["families"][label_id])
+        rates[label_id] = sum(bool(detector(img)) for img in images) / images.shape[0]
+    return rates
+
+
+def guidance_distances(run) -> tuple[float, float]:
+    """Criterion 10's FID-analogue of the guided and of the unguided samples."""
+    embedder = mx.FeatureEmbedder(run["tokenizer"])
+    guided = np.concatenate([run["guided_by_label"][i][:150] for i in range(4)])
+    return (mx.evaluate(run["test"], guided, embedder).fid,
+            mx.evaluate(run["test"], run["baseline_samples"], embedder).fid)
+
+
 def test_criterion_8a_tokenizer_psnr(desk_run):
     psnr = tok.reconstruction_psnr(desk_run["tokenizer"], desk_run["val"])
     assert psnr > 20.0, f"held-out PSNR {psnr:.2f} dB"
@@ -305,8 +334,7 @@ def test_criterion_8a_tokenizer_psnr(desk_run):
 
 
 def test_criterion_8b_monotone_refinement(desk_run):
-    mses = [tok.reconstruction_mse(desk_run["tokenizer"], desk_run["val"], upto_scale=k)
-            for k in range(1, 5)]
+    mses = prefix_mses(desk_run)
     for a, b in zip(mses, mses[1:]):
         assert b <= a + 1e-9, f"prefix MSEs not monotone: {mses}"
     report(8, f"(b) prefix-MSE monotone {['%.4f' % m for m in mses]}")
@@ -327,12 +355,9 @@ def test_criterion_8d_prior_heldout_loss(desk_run):
 
 
 def test_criterion_8e_conditional_samples_pass_detectors(desk_run):
-    rates = {}
-    for label_id, images in desk_run["guided_by_label"].items():
-        detector = dg.geometry_detector(desk_run["families"][label_id])
-        hits = sum(bool(detector(img)) for img in images)
-        rates[label_id] = hits / images.shape[0]
-        assert rates[label_id] >= 0.9, f"label {label_id}: {rates[label_id]:.2f}"
+    rates = detector_rates(desk_run)
+    for label_id, rate in rates.items():
+        assert rate >= 0.9, f"label {label_id}: {rate:.2f}"
     report(8, f"(e) detector pass rates {['%.2f' % rates[i] for i in range(4)]} all >= 0.90")
 
 
@@ -408,10 +433,7 @@ def test_criterion_10_guidance_trend(desk_run):
     No fault has been found in the guidance itself (criterion 7 checks its
     contracts). The assertion is kept as specified rather than loosened.
     """
-    embedder = mx.FeatureEmbedder(desk_run["tokenizer"])
-    guided = np.concatenate([desk_run["guided_by_label"][i][:150] for i in range(4)])
-    fid_guided = mx.evaluate(desk_run["test"], guided, embedder).fid
-    fid_baseline = mx.evaluate(desk_run["test"], desk_run["baseline_samples"], embedder).fid
+    fid_guided, fid_baseline = guidance_distances(desk_run)
     assert fid_guided <= fid_baseline, (
         f"guided {fid_guided:.5f} > unguided {fid_baseline:.5f}; see the "
         "known-failure paragraph in the README: strength-4 guidance "

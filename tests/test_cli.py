@@ -426,6 +426,25 @@ def test_malformed_corpus_exits_2(tmp_path, edit, needle):
     assert_rejected(out, needle)
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (("datagen", "--workdir", "{file}", "--config", "{config}"), "Not a directory"),
+    (("eval", "--workdir", "{workdir}", "--real", "{file}", "--fake", "corpus/images/ring_with_core",
+      "--embedder", "tokenizer.mvckpt"), "Not a directory"),
+    (("eval", "--workdir", "{workdir}", "--real", "corpus/images/ring_with_core",
+      "--fake", "corpus/images/ring_with_core", "--embedder", "tokenizer.mvckpt",
+      "--out", "{dir}"), "Is a directory"),
+    (("sample", "--workdir", "{workdir}", "--label", "ring_with_core", "--count", "1",
+      "--out", "{file}"), "File exists"),
+    (("inspect-codebook", "--workdir", "{workdir}", "--eval-dir", "{file}"), "Not a directory"),
+])
+def test_path_of_the_wrong_kind_exits_2(workdir, tmp_path, argv, needle):
+    (tmp_path / "file").write_text("not a directory\n")
+    write_json(tmp_path / "c.json", dict(SMALL_CORPUS, per_label=2))
+    paths = {"file": tmp_path / "file", "dir": tmp_path, "workdir": workdir,
+             "config": tmp_path / "c.json"}
+    assert_rejected(run_cli(*(a.format(**paths) for a in argv)), needle)
+
+
 def test_nan_weight_sample_exits_3_naming_the_op(workdir, tmp_path):
     def plant_nan(config, arrays):
         arrays["block0.ffn1.w"][0, 0] = np.nan

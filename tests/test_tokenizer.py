@@ -206,6 +206,23 @@ class TestStraightThrough:
         grad = tiny_model.params[f"phi{finest}.w"].grad
         assert grad is not None and np.abs(grad).max() > 0
 
+    def test_training_quantizes_what_encode_quantizes(self, monkeypatch):
+        # in float32, subtracting phi(up(st)) and phi(up(zq)) round apart, so
+        # a walk of encode's own would quantize different values than training
+        model = tok.TokenizerModel.create(tok.TokenizerConfig(dtype="float32"), seed=11)
+        batch = np.random.default_rng(9).random((16, 32, 32)).astype(np.float32)
+        seen = []
+        quantize = tok._quantize_grid
+        monkeypatch.setattr(tok, "_quantize_grid",
+                            lambda f, emb: seen.append(f.copy()) or quantize(f, emb))
+        tok.training_graph(model, batch)
+        trained = seen[:]
+        seen.clear()
+        tok.encode_batch(model, batch)
+        assert len(trained) == len(seen) == model.schedule.num_scales
+        for k, (a, b) in enumerate(zip(trained, seen)):
+            assert np.array_equal(a, b), f"scale {k}: {np.count_nonzero(a != b)} of {a.size} differ"
+
 
 class TestTraining:
     def test_loss_decreases(self, tiny_model):
