@@ -97,6 +97,44 @@ def build_mask(schedule: ScaleSchedule) -> np.ndarray:
     return scale_of[None, :] <= scale_of[:, None]
 
 
+def _parameters(config: PriorConfig, draw) -> dict[str, Parameter]:
+    """Every parameter in saved order. draw(name, shape, std) gives the
+    values of each drawn one; biases and AdaLN start at zero, attention
+    temperatures at one."""
+    dtype = config.np_dtype()
+    w, v = config.width, config.vocab_size
+    length = config.scale_schedule.token_count
+    params: dict[str, Parameter] = {}
+
+    def normal(name, shape, std=0.02):
+        params[name] = Parameter(draw(name, shape, std))
+
+    def zeros(name, shape):
+        params[name] = Parameter(np.zeros(shape, dtype=dtype))
+
+    normal("cond_emb", (config.n_labels + 1, w))
+    normal("input_proj.w", (config.code_dim, w))
+    zeros("input_proj.b", (w,))
+    normal("pos_emb", (length, w))
+    normal("level_emb", (config.scale_schedule.num_scales, w))
+    for i in range(config.depth):
+        for piece in ("wq", "wk", "wv", "wo"):
+            normal(f"block{i}.{piece}.w", (w, w))
+            zeros(f"block{i}.{piece}.b", (w,))
+        params[f"block{i}.temp"] = Parameter(np.ones(config.heads, dtype=dtype))
+        normal(f"block{i}.ffn1.w", (w, 4 * w))
+        zeros(f"block{i}.ffn1.b", (4 * w,))
+        normal(f"block{i}.ffn2.w", (4 * w, w), std=0.02 / math.sqrt(2 * config.depth))
+        zeros(f"block{i}.ffn2.b", (w,))
+        zeros(f"block{i}.adaln.w", (w, 6 * w))
+        zeros(f"block{i}.adaln.b", (6 * w,))
+    zeros("final.adaln.w", (w, 2 * w))
+    zeros("final.adaln.b", (2 * w,))
+    zeros("head.w", (w, v))
+    zeros("head.b", (v,))
+    return params
+
+
 class PriorModel:
     def __init__(self, config: PriorConfig, params: dict[str, Parameter],
                  code_table: np.ndarray):
@@ -113,38 +151,11 @@ class PriorModel:
     @classmethod
     def create(cls, config: PriorConfig, code_table: np.ndarray, seed: int = 0) -> "PriorModel":
         dtype = config.np_dtype()
-        w, v = config.width, config.vocab_size
-        length = config.scale_schedule.token_count
-        params: dict[str, Parameter] = {}
 
-        def normal(name, shape, std=0.02):
-            params[name] = Parameter(rng_for(seed, "prior", name)
-                                     .normal(0, std, size=shape).astype(dtype))
+        def draw(name, shape, std):
+            return rng_for(seed, "prior", name).normal(0, std, size=shape).astype(dtype)
 
-        def zeros(name, shape):
-            params[name] = Parameter(np.zeros(shape, dtype=dtype))
-
-        normal("cond_emb", (config.n_labels + 1, w))
-        normal("input_proj.w", (config.code_dim, w))
-        zeros("input_proj.b", (w,))
-        normal("pos_emb", (length, w))
-        normal("level_emb", (config.scale_schedule.num_scales, w))
-        for i in range(config.depth):
-            for piece in ("wq", "wk", "wv", "wo"):
-                normal(f"block{i}.{piece}.w", (w, w))
-                zeros(f"block{i}.{piece}.b", (w,))
-            params[f"block{i}.temp"] = Parameter(np.ones(config.heads, dtype=dtype))
-            normal(f"block{i}.ffn1.w", (w, 4 * w))
-            zeros(f"block{i}.ffn1.b", (4 * w,))
-            normal(f"block{i}.ffn2.w", (4 * w, w), std=0.02 / math.sqrt(2 * config.depth))
-            zeros(f"block{i}.ffn2.b", (w,))
-            zeros(f"block{i}.adaln.w", (w, 6 * w))
-            zeros(f"block{i}.adaln.b", (6 * w,))
-        zeros("final.adaln.w", (w, 2 * w))
-        zeros("final.adaln.b", (2 * w,))
-        zeros("head.w", (w, v))
-        zeros("head.b", (v,))
-        return cls(config, params, np.asarray(code_table))
+        return cls(config, _parameters(config, draw), np.asarray(code_table))
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
@@ -382,6 +393,6 @@ def load_prior(path: str | os.PathLike) -> tuple[PriorModel, dict]:
     cfg, config, arrays = ckpt.load_model(path, "prior", PriorConfig)
     dtype = cfg.np_dtype()
     code_table = ckpt.section(arrays, "code_table", (cfg.vocab_size, cfg.code_dim), dtype)
-    model = PriorModel.create(cfg, code_table, seed=0)
-    ckpt.load_params(model.params, arrays, dtype)
-    return model, config
+    params = _parameters(cfg, lambda name, shape, std: np.empty(shape, dtype=dtype))
+    ckpt.load_params(params, arrays, dtype)
+    return PriorModel(cfg, params, code_table), config

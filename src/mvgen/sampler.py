@@ -5,11 +5,15 @@ guidance is enabled, one otherwise, so the forward-pass count per image is
 2K or K regardless of how many tokens the schedule holds. `generate` keeps one
 KV cache per condition, so each pass runs only the new scale's n_k^2 rows
 against the cached keys and values of the coarser scales. A scale's rows are
-filtered and drawn in one call each; every draw uses a counter-based
-generator keyed by (seed, scale, position): draws are order-independent, and
-the paired null evaluation consumes no randomness, so guidance strength 1 is
-bit-identical to running without guidance. `generate` runs with per-op
-finiteness checks off and checks each scale's logits and the decoded image.
+filtered and drawn in one call each. Every draw uses the first uniform of a
+counter-based generator keyed by (seed, "draw", scale, position); one
+vectorised Philox pass (`rng.first_uniforms`) gives a scale's uniforms, bit
+for bit those of the per-position generators. Draws are order-independent,
+and the paired null evaluation consumes no randomness, so guidance strength 1
+is bit-identical to running without guidance. `generate` runs with per-op
+finiteness checks off and checks each scale's logits and the decoded image;
+`sample_scale` also checks the filtered distribution, which a temperature so
+small that logits / T overflow leaves non-finite.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .numerics import ContractError, NumericError, checked_at_boundaries
 from .prior import PriorModel, ScaleCache
-from .rng import rng_for
+from .rng import first_uniforms
 from .tokenizer import TokenizerModel, TokenPyramid, decode_batch
 
 
@@ -94,12 +98,14 @@ def categorical_draw(probs: np.ndarray, seed: int, scale_index: int, position: i
     """Inverse-CDF draw using the uniform keyed by (seed, scale, position).
 
     Works along the last axis: row r of a (n, V) array draws with the uniform
-    keyed by position + r, and the n indices come back as an array.
+    keyed by position + r, and the n indices come back as an array. The n
+    uniforms come from one `first_uniforms` call, bit for bit the first
+    `rng_for(seed, "draw", scale_index, position + r).random()` of each key.
     """
     probs = np.asarray(probs)
     rows = probs.reshape(-1, probs.shape[-1])
     n, v = rows.shape
-    u = np.array([rng_for(seed, "draw", scale_index, position + r).random() for r in range(n)])
+    u = first_uniforms((seed, "draw", scale_index), range(position, position + n))
     cum = np.cumsum(rows, axis=-1)
     idx = (cum <= u[:, None]).sum(axis=-1)  # searchsorted(side="right"): cum never falls
     last_nonzero = v - 1 - np.argmax(rows[:, ::-1] > 0, axis=-1)
@@ -109,15 +115,19 @@ def categorical_draw(probs: np.ndarray, seed: int, scale_index: int, position: i
 
 
 def _filtered_distribution(logits: np.ndarray, cfg: SamplingConfig) -> np.ndarray:
-    """Row-wise softmax at the temperature, then top-k and top-p."""
-    scaled = logits / cfg.temperature
-    shifted = scaled - scaled.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    if cfg.top_k is not None:
-        probs = top_k_filter(probs, cfg.top_k)
-    if cfg.top_p is not None:
-        probs = top_p_filter(probs, cfg.top_p)
+    """Row-wise softmax at the temperature, then top-k and top-p.
+
+    Overflow and NaN do not warn: `sample_scale` checks the result.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = logits / cfg.temperature
+        shifted = scaled - scaled.max(axis=-1, keepdims=True)
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        if cfg.top_k is not None:
+            probs = top_k_filter(probs, cfg.top_k)
+        if cfg.top_p is not None:
+            probs = top_p_filter(probs, cfg.top_p)
     return probs
 
 
@@ -161,7 +171,10 @@ def sample_scale(model: PriorModel, prefix: list[np.ndarray], c: int, cfg: Sampl
     if cfg.temperature == 0.0:
         flat = np.argmax(guided, axis=-1)  # argmax limit; ties -> lowest index
     else:
-        flat = categorical_draw(_filtered_distribution(guided, cfg), cfg.seed, k, 0)
+        probs = _filtered_distribution(guided, cfg)
+        if not np.isfinite(probs).all():
+            raise NumericError(f"non-finite sampling distribution at scale {k}")
+        flat = categorical_draw(probs, cfg.seed, k, 0)
     return flat.reshape(n, n), passes
 
 

@@ -188,6 +188,36 @@ def paper_config() -> TokenizerConfig:
                            vocab_size=4096, embed_dim=32, dtype="float32")
 
 
+def _parameters(config: TokenizerConfig, draw) -> dict[str, Parameter]:
+    """Every conv kernel and bias in saved order; draw(name, shape, std)
+    gives the weights of kernel `name`."""
+    dtype = config.np_dtype()
+    params: dict[str, Parameter] = {}
+
+    def kernel(name, cin, cout, k, transposed=False):
+        """He-normal weights over the cin * k * k fan-in, zero bias; a
+        transposed conv keeps its kernel as (cin, cout, k, k)."""
+        shape = (cin, cout, k, k) if transposed else (cout, cin, k, k)
+        params[f"{name}.w"] = Parameter(draw(name, shape, math.sqrt(2.0 / (cin * k * k))))
+        params[f"{name}.b"] = Parameter(np.zeros(cout, dtype=dtype))
+
+    # 4x4 stride-2 kernels cover the plane evenly (no checkerboard on the
+    # transpose side); the per-scale refinements stay 3x3
+    widths = config.stage_widths()
+    cin = 1
+    for i, cout in enumerate(widths):
+        kernel(f"enc{i}", cin, cout, 4)
+        cin = cout
+    rev = [1] + widths[:-1]
+    cin = widths[-1]
+    for i, cout in enumerate(reversed(rev)):
+        kernel(f"dec{i}", cin, cout, 4, transposed=True)
+        cin = cout
+    for k in range(config.scale_schedule.num_scales):
+        kernel(f"phi{k}", config.embed_dim, config.embed_dim, 3)
+    return params
+
+
 class TokenizerModel:
     def __init__(self, config: TokenizerConfig, params: dict[str, Parameter], codebook: Codebook):
         self.config = config
@@ -198,34 +228,12 @@ class TokenizerModel:
     @classmethod
     def create(cls, config: TokenizerConfig, seed: int = 0) -> "TokenizerModel":
         dtype = config.np_dtype()
-        params: dict[str, Parameter] = {}
 
-        def kernel(name, cin, cout, k, transposed=False):
-            """He-normal weights over the cin * k * k fan-in, zero bias; a
-            transposed conv keeps its kernel as (cin, cout, k, k)."""
-            shape = (cin, cout, k, k) if transposed else (cout, cin, k, k)
-            std = math.sqrt(2.0 / (cin * k * k))
-            params[f"{name}.w"] = Parameter(rng_for(seed, "tokenizer", name)
-                                            .normal(0, std, size=shape).astype(dtype))
-            params[f"{name}.b"] = Parameter(np.zeros(cout, dtype=dtype))
-
-        # 4x4 stride-2 kernels cover the plane evenly (no checkerboard on the
-        # transpose side); the per-scale refinements stay 3x3
-        widths = config.stage_widths()
-        cin = 1
-        for i, cout in enumerate(widths):
-            kernel(f"enc{i}", cin, cout, 4)
-            cin = cout
-        rev = [1] + widths[:-1]
-        cin = widths[-1]
-        for i, cout in enumerate(reversed(rev)):
-            kernel(f"dec{i}", cin, cout, 4, transposed=True)
-            cin = cout
-        for k in range(config.scale_schedule.num_scales):
-            kernel(f"phi{k}", config.embed_dim, config.embed_dim, 3)
+        def draw(name, shape, std):
+            return rng_for(seed, "tokenizer", name).normal(0, std, size=shape).astype(dtype)
 
         codebook = Codebook.create(config.vocab_size, config.embed_dim, seed, dtype)
-        return cls(config, params, codebook)
+        return cls(config, _parameters(config, draw), codebook)
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
@@ -640,10 +648,11 @@ def save_tokenizer(path: str | os.PathLike, model: TokenizerModel,
 
 def load_tokenizer(path: str | os.PathLike) -> tuple[TokenizerModel, dict]:
     cfg, config, arrays = ckpt.load_model(path, "tokenizer", TokenizerConfig)
-    model = TokenizerModel.create(cfg, seed=0)
     dtype = cfg.np_dtype()
-    ckpt.load_params(model.params, arrays, dtype)
-    for name in ("embeddings", "ema_counts", "ema_sums"):
-        shape = getattr(model.codebook, name).shape
-        setattr(model.codebook, name, ckpt.section(arrays, f"codebook.{name}", shape, dtype))
-    return model, config
+    params = _parameters(cfg, lambda name, shape, std: np.empty(shape, dtype=dtype))
+    ckpt.load_params(params, arrays, dtype)
+    v, c = cfg.vocab_size, cfg.embed_dim
+    codebook = Codebook(**{name: ckpt.section(arrays, f"codebook.{name}", shape, dtype)
+                           for name, shape in (("embeddings", (v, c)), ("ema_counts", (v,)),
+                                               ("ema_sums", (v, c)))})
+    return TokenizerModel(cfg, params, codebook), config

@@ -456,6 +456,14 @@ def test_nan_weight_sample_exits_3_naming_the_op(workdir, tmp_path):
     assert "non-finite values produced by op 'matmul'" in out.stderr
 
 
+def test_overflowing_temperature_sample_exits_3(workdir):
+    out = run_cli("sample", "--workdir", str(workdir), "--label", "ring_with_core",
+                  "--count", "1", "--temperature", "1e-310", "--out", "tiny_t")
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert out.stderr == "numeric failure: non-finite sampling distribution at scale 0\n"
+
+
 class TestSample:
     def test_deterministic_and_named(self, workdir):
         args = ("sample", "--workdir", str(workdir), "--label", "ring_with_core",

@@ -8,6 +8,7 @@ from mvgen import sampler as smp
 from mvgen import tokenizer as tok
 from mvgen import numerics as nx
 from mvgen.numerics import ContractError, NumericError
+from mvgen.rng import rng_for
 
 
 def toy_prior(schedule=(1, 2), vocab=8, seed=1, bias=None):
@@ -151,6 +152,31 @@ def test_row_wise_filters_and_draw_equal_one_dimensional_calls(seed, rows, vocab
         assert draws[r] == smp.categorical_draw(both[r], seed, 2, 5 + r)
 
 
+def inverse_cdf(row, u):
+    """The first index whose running mass exceeds u, or the last index with
+    mass where rounding leaves u past the end or on a zero."""
+    last = max(i for i, mass in enumerate(row) if mass > 0)
+    cum = 0.0
+    for i, mass in enumerate(row):
+        cum += mass
+        if cum > u:
+            return i if mass > 0 else last
+    return last
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(-2**100, 2**100), rows=st.integers(1, 256), vocab=st.integers(1, 16),
+       k=st.integers(1, 16), scale_index=st.integers(0, 9), position=st.integers(0, 10**6))
+def test_categorical_draw_uses_the_documented_key(seed, rows, vocab, k, scale_index, position):
+    rng = np.random.default_rng(abs(seed))
+    probs = smp.top_k_filter(rng.dirichlet(np.ones(vocab), size=rows), k)
+    draws = smp.categorical_draw(probs, seed, scale_index, position)
+    assert draws.shape == (rows,)
+    for r in range(rows):
+        u = rng_for(seed, "draw", scale_index, position + r).random()
+        assert draws[r] == inverse_cdf(probs[r], u)
+
+
 class TestSampleScale:
     def test_greedy_temperature_zero_deterministic(self):
         model = toy_prior()
@@ -255,6 +281,17 @@ class TestGenerate:
             smp.generate(model, tkn, 0, cfg)
         with pytest.raises(NumericError, match="log"):
             nx.log(nx.Tensor([-1.0]))
+
+    def test_non_finite_distribution_raises_instead_of_drawing_token_0(self):
+        model = toy_prior(schedule=(1,), vocab=4, bias=[0.5, 2.0, 1.0, -1.0])
+        model.params["head.w"].values[:] = 0.0  # logits are the bias
+        grid, _ = smp.sample_scale(model, [], 0, smp.SamplingConfig(temperature=1e-300))
+        assert grid.tolist() == [[1]]
+        cfg = smp.SamplingConfig(temperature=1e-310)  # logits / T overflow to inf
+        with pytest.raises(NumericError, match="non-finite sampling distribution at scale 0"):
+            smp.sample_scale(model, [], 0, cfg)
+        with pytest.raises(NumericError, match="non-finite sampling distribution at scale 0"):
+            smp.generate(model, matched_tokenizer(schedule=(1,), vocab=4), 0, cfg)
 
     def test_mismatched_schedules_rejected(self):
         model = toy_prior(schedule=(1, 2))
