@@ -192,8 +192,11 @@ def _resume(path: str, load, schedule, source: str):
 def _train(args, cfg, model, start_step: int, fit, save, extra: dict) -> int:
     """Run `fit(step, chunk)` in chunks of save_every steps up to cfg.steps,
     saving after each; then write the loss CSV and echo the config."""
-    if cfg.save_every < 1:
-        raise ConfigError("save_every must be positive")
+    if cfg.steps < 0:
+        raise ConfigError("steps must be non-negative")
+    for name in ("save_every", "batch_size"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be positive")
     ckpt_path = os.path.join(args.workdir, cfg.checkpoint)
     curve: list[tuple[int, float, float]] = []
     step = start_step

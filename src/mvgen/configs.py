@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import typing
 
 
@@ -23,7 +24,8 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
 
 def _fits(kind, value) -> bool:
     """Whether a JSON value fits the type hint kind: an int also fits a float,
-    a list (or tuple) fits a tuple of one element type (and of its length
+    NaN and numbers beyond float range (the infinities too) fit nothing, a
+    list (or tuple) fits a tuple of one element type (and of its length
     unless open-ended), a bool is no int, and null fits only an optional
     field."""
     origin, args = typing.get_origin(kind), typing.get_args(kind)
@@ -33,7 +35,9 @@ def _fits(kind, value) -> bool:
                 and all(_fits(args[0], v) for v in value))
     if type(None) in args:  # an optional field
         return value is None or _fits(args[0], value)
-    return type(value) is kind or kind is float and type(value) is int
+    if kind is float:  # NaN compares false
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is kind
 
 
 def _typed(kind, value, context: str, base=None):

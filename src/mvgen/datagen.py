@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .checkpoint import ArtifactError, write_artifact
-from .numerics import ContractError, resize_bilinear_np, resize_nearest_np
+from .numerics import ContractError, resize_bilinear
 from .rng import rng_for
 
 
@@ -313,17 +313,13 @@ def foreground_filter(raw: RawSlice, min_area_fraction: float = 0.001) -> RawSli
     return RawSlice(intensities=raw.intensities, mask=new_mask, modality=raw.modality)
 
 
-def resize_canonical(values: np.ndarray, resolution: int, kind: str = "bilinear") -> np.ndarray:
-    """Resize to resolution x resolution; bilinear for intensities, nearest for masks."""
+def resize_canonical(values: np.ndarray, resolution: int) -> np.ndarray:
+    """Bilinear resize of intensities to resolution x resolution."""
     if resolution < 1:
         raise ContractError("canonical resolution must be positive")
     if values.shape[0] < 1 or values.shape[1] < 1:
         raise ContractError("source extents must be at least 1")
-    if kind == "bilinear":
-        return resize_bilinear_np(np.asarray(values, dtype=np.float64), resolution, resolution)
-    if kind == "nearest":
-        return resize_nearest_np(np.asarray(values), resolution, resolution)
-    raise ContractError(f"unknown resize kind '{kind}'")
+    return resize_bilinear(np.asarray(values, dtype=np.float64), resolution, resolution).values
 
 
 def preprocess(raw: RawSlice, resolution: int) -> np.ndarray | None:
@@ -335,7 +331,7 @@ def preprocess(raw: RawSlice, resolution: int) -> np.ndarray | None:
         values = ct_window(kept)
     else:
         values = mri_percentile_clip(kept)
-    return np.clip(resize_canonical(values, resolution, "bilinear"), 0.0, 1.0)
+    return np.clip(resize_canonical(values, resolution), 0.0, 1.0)
 
 
 # -- corpus -------------------------------------------------------------------
@@ -398,8 +394,8 @@ def build_corpus(specs: Iterable[PhantomSpec], per_label: int, resolution: int,
         raise ContractError("per_label must be positive")
     if resolution < 1:
         raise ContractError("canonical resolution must be positive")
-    if abs(sum(split) - 1.0) > 1e-9:
-        raise ContractError("split fractions must sum to 1")
+    if not (all(f >= 0 for f in split) and abs(sum(split) - 1.0) <= 1e-9):
+        raise ContractError("split fractions must be non-negative and sum to 1")
     n_val = int(np.floor(per_label * split[1]))
     n_test = int(np.floor(per_label * split[2]))
     n_train = per_label - n_val - n_test

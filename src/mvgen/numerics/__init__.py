@@ -1,16 +1,10 @@
 """Minimal dense-tensor substrate: reverse-mode autodiff, conv ops, AdamW."""
 
-from .conv import (
-    conv2d,
-    conv_transpose2d,
-    resize_bilinear,
-    resize_bilinear_np,
-    resize_nearest_np,
-    resize_weights,
-)
+from .conv import conv2d, conv_transpose2d, resize_bilinear
 from .optim import OptimizerConfig, Parameter, adamw_update, clip_grad_norm, lr_at, train_loop
 from .tensor import (
     ContractError,
+    NonOpNumericError,
     NumericError,
     Tensor,
     add,
@@ -40,45 +34,3 @@ from .tensor import (
     transpose,
 )
 
-__all__ = [
-    "ContractError",
-    "NumericError",
-    "OptimizerConfig",
-    "Parameter",
-    "Tensor",
-    "adamw_update",
-    "add",
-    "as_tensor",
-    "checked_at_boundaries",
-    "clip_grad_norm",
-    "concat",
-    "conv2d",
-    "conv_transpose2d",
-    "exp",
-    "gelu",
-    "index",
-    "l2_normalize",
-    "layernorm",
-    "log",
-    "log_softmax",
-    "lr_at",
-    "matmul",
-    "mul",
-    "no_grad",
-    "power",
-    "reduce_mean",
-    "reduce_sum",
-    "relu",
-    "reshape",
-    "resize_bilinear",
-    "resize_bilinear_np",
-    "resize_nearest_np",
-    "resize_weights",
-    "softmax",
-    "stop_gradient",
-    "take",
-    "take_along_last",
-    "tanh",
-    "train_loop",
-    "transpose",
-]

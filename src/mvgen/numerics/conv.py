@@ -111,7 +111,8 @@ def resize_weights(src: int, dst: int) -> np.ndarray:
 
 
 def resize_bilinear(x, out_h: int, out_w: int) -> Tensor:
-    """Area-aligned bilinear resize over the trailing two axes."""
+    """Area-aligned bilinear resize over the trailing two axes of a Tensor or
+    an array; at equal size it returns x's own values, not a copy."""
     x = as_tensor(x)
     h, w = x.values.shape[-2:]
     if out_h < 1 or out_w < 1:
@@ -127,20 +128,3 @@ def resize_bilinear(x, out_h: int, out_w: int) -> Tensor:
 
     return _make(out, (x,), backward, "resize_bilinear")
 
-
-def resize_bilinear_np(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Plain-array variant of resize_bilinear (identical arithmetic)."""
-    h, w = x.shape[-2:]
-    if (h, w) == (out_h, out_w):
-        return x
-    wr = resize_weights(h, out_h).astype(x.dtype)
-    wc = resize_weights(w, out_w).astype(x.dtype)
-    return wr @ x @ wc.T
-
-
-def resize_nearest_np(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Nearest-neighbor resize with area-aligned centers (for masks/labels)."""
-    h, w = x.shape[-2:]
-    rows = np.minimum((np.arange(out_h) + 0.5) * (h / out_h), h - 1).astype(np.intp)
-    cols = np.minimum((np.arange(out_w) + 0.5) * (w / out_w), w - 1).astype(np.intp)
-    return x[..., rows[:, None], cols[None, :]]

@@ -22,6 +22,11 @@ class NumericError(RuntimeError):
     """Non-finite values or diverging computation."""
 
 
+class NonOpNumericError(NumericError):
+    """A NumericError no Tensor op can be at fault for, such as a sampling
+    distribution that overflowed; `checked_at_boundaries` does not rerun."""
+
+
 class ContractError(ValueError):
     """A precondition of an operation was violated."""
 
@@ -38,12 +43,15 @@ def checked_at_boundaries(run: Callable[[], T]) -> T:
     changes nothing before they pass. When it raises NumericError, it runs
     once more with per-op checks on, so the error names the op whose output
     or gradient is non-finite; if that rerun passes, the first error stands.
+    A NonOpNumericError raises at once.
     """
     global _NAN_CHECKS
     previous = _NAN_CHECKS
     _NAN_CHECKS = False
     try:
         return run()
+    except NonOpNumericError:
+        raise
     except NumericError:
         _NAN_CHECKS = True
         run()

@@ -40,7 +40,7 @@ from .numerics import (
     layernorm,
     log_softmax,
     no_grad,
-    resize_bilinear_np,
+    resize_bilinear,
     softmax,
     take,
     take_along_last,
@@ -63,6 +63,8 @@ class PriorConfig(ModelConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.width < 1 or self.heads < 1:
+            raise ContractError("width and heads must be positive")
         if self.width % self.heads != 0:
             raise ContractError("width must be divisible by heads")
         if not 0.0 <= self.cond_dropout_p < 1.0:
@@ -201,8 +203,8 @@ class PriorModel:
             n = self.schedule.sizes[j]
             prev = np.asarray(prefix_grids[j - 1])
             codes = self.code_table[prev].transpose(0, 3, 1, 2)  # (B, C, m, m)
-            acc = acc + resize_bilinear_np(codes.astype(dtype), n_latent, n_latent)
-            up = resize_bilinear_np(acc, n, n)
+            acc = acc + resize_bilinear(codes.astype(dtype), n_latent, n_latent).values
+            up = resize_bilinear(acc, n, n).values
             flat = up.transpose(0, 2, 3, 1).reshape(b, n * n, cfg.code_dim)
             pieces.append(as_tensor(flat) @ self.params["input_proj.w"]
                           + self.params["input_proj.b"])

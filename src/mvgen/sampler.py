@@ -13,7 +13,8 @@ and the paired null evaluation consumes no randomness, so guidance strength 1
 is bit-identical to running without guidance. `generate` runs with per-op
 finiteness checks off and checks each scale's logits and the decoded image;
 `sample_scale` also checks the filtered distribution, which a temperature so
-small that logits / T overflow leaves non-finite.
+small that logits / T overflow leaves non-finite; no op is at fault there, so
+that NonOpNumericError raises without a rerun.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import dataclasses
 
 import numpy as np
 
-from .numerics import ContractError, NumericError, checked_at_boundaries
+from .numerics import ContractError, NonOpNumericError, NumericError, checked_at_boundaries
 from .prior import PriorModel, ScaleCache
 from .rng import first_uniforms
 from .tokenizer import TokenizerModel, TokenPyramid, decode_batch
@@ -38,13 +39,13 @@ class SamplingConfig:
     cfg_ramp: bool = False  # ramp guidance strength 1 -> cfg_scale across scales
 
     def __post_init__(self):
-        if self.cfg_scale is not None and self.cfg_scale < 0:
-            raise ContractError("cfg_scale must be non-negative")
+        if self.cfg_scale is not None and not 0 <= self.cfg_scale < np.inf:
+            raise ContractError("cfg_scale must be finite and non-negative")
         if self.top_k is not None and self.top_k < 1:
             raise ContractError("top_k must be at least 1")
         if self.top_p is not None and not 0.0 < self.top_p <= 1.0:
             raise ContractError("top_p must lie in (0, 1]")
-        if self.temperature < 0:
+        if not self.temperature >= 0:  # NaN too
             raise ContractError("temperature must be non-negative")
 
 
@@ -173,7 +174,7 @@ def sample_scale(model: PriorModel, prefix: list[np.ndarray], c: int, cfg: Sampl
     else:
         probs = _filtered_distribution(guided, cfg)
         if not np.isfinite(probs).all():
-            raise NumericError(f"non-finite sampling distribution at scale {k}")
+            raise NonOpNumericError(f"non-finite sampling distribution at scale {k}")
         flat = categorical_draw(probs, cfg.seed, k, 0)
     return flat.reshape(n, n), passes
 

@@ -36,7 +36,6 @@ from .numerics import (
     no_grad,
     relu,
     resize_bilinear,
-    resize_bilinear_np,
     stop_gradient,
     train_loop,
 )
@@ -142,6 +141,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.dtype not in ("float32", "float64"):
             raise ContractError(f"dtype must be float32 or float64, not {self.dtype!r}")
+        if self.vocab_size < 1:
+            raise ContractError("vocab_size must be positive")
         object.__setattr__(self, "schedule", ScaleSchedule(self.schedule).sizes)
 
     @property
@@ -161,6 +162,10 @@ class TokenizerConfig(ModelConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.embed_dim < 1:
+            raise ContractError("embed_dim must be positive")
+        if not 0.0 <= self.ema_decay <= 1.0:
+            raise ContractError("ema_decay must lie in [0, 1]")
         latent = self.scale_schedule.latent_size
         factor = self.resolution / latent
         stages = math.log2(factor) if factor >= 2 else -1
@@ -271,18 +276,6 @@ class TokenizerModel:
 # -- spec-level operations ----------------------------------------------------
 
 
-def interpolate(feature: np.ndarray, target: int) -> np.ndarray:
-    """Scale alignment on a channel-last (a, a, C) grid -> (target, target, C)."""
-    feature = np.asarray(feature)
-    if feature.ndim != 3:
-        raise ContractError("interpolate expects an (a, a, C) grid")
-    if feature.shape[0] == target:
-        return feature
-    moved = np.moveaxis(feature, -1, 0)
-    out = resize_bilinear_np(moved, target, target)
-    return np.moveaxis(out, 0, -1)
-
-
 def quantize(vec: np.ndarray, codebook: Codebook) -> int:
     """Nearest codebook row by squared Euclidean distance; ties -> lowest index."""
     vec = np.asarray(vec, dtype=np.float64)
@@ -374,7 +367,7 @@ def decode_batch(model: TokenizerModel, grids: Sequence[np.ndarray],
             if idx.size and idx.max() >= model.codebook.vocab_size:
                 raise ContractError("token index out of codebook range")
             zq = _lookup(idx, model.codebook.embeddings).astype(f.dtype)
-            f = f + model.phi(k, as_tensor(resize_bilinear_np(zq, n_latent, n_latent))).values
+            f = f + model.phi(k, resize_bilinear(zq, n_latent, n_latent)).values
         out = model.decoder_forward(as_tensor(f)).values[:, 0]
     return np.clip(out, 0.0, 1.0)
 
@@ -461,7 +454,7 @@ def training_graph(model: TokenizerModel, batch: np.ndarray,
         term = ((fk - as_tensor(zq)) ** 2.0).mean()
         commit = term if commit is None else commit + term
         recon_feat = refinement if recon_feat is None else recon_feat + refinement
-        residual = residual - model.phi(k, as_tensor(resize_bilinear_np(zq, n_latent, n_latent)))
+        residual = residual - model.phi(k, resize_bilinear(zq, n_latent, n_latent))
         term = (residual ** 2.0).mean()
         walk = term if walk is None else walk + term
 
@@ -500,7 +493,7 @@ def init_codebook_from_data(model: TokenizerModel, batch: np.ndarray, seed: int)
         f = model.encoder_forward(as_tensor(batch[:, None, :, :].astype(dtype))).values
     cells = []
     for n in model.schedule.sizes:
-        fk = resize_bilinear_np(f, n, n)
+        fk = resize_bilinear(f, n, n).values
         cells.append(fk.transpose(0, 2, 3, 1).reshape(-1, model.config.embed_dim))
     pool = np.concatenate(cells, axis=0)
     if not np.isfinite(pool).all():

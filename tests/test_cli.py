@@ -14,6 +14,7 @@ from mvgen import tokenizer as tok
 from mvgen.numerics import ContractError
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+NAN, INF = float("nan"), float("inf")
 
 
 def run_cli(*argv, cwd=None):
@@ -375,6 +376,7 @@ class TestSectionShapes:
 @pytest.mark.parametrize("name,key,value,needle", [
     ("tokenizer", "vocab_size", "16", 'TokenizerConfig: vocab_size must be an integer, not "16"'),
     ("prior", "cond_dropout_p", None, "PriorConfig: cond_dropout_p must be a number, not null"),
+    ("tokenizer", "beta_commit", NAN, "TokenizerConfig: beta_commit must be a number, not NaN"),
     ("prior", "labels", ["ring_with_core"],
      'prior.mvckpt: labels must map ids to names, not ["ring_with_core"]'),
     ("prior", "labels", {"zero": "ring_with_core"},
@@ -443,6 +445,44 @@ def test_path_of_the_wrong_kind_exits_2(workdir, tmp_path, argv, needle):
     paths = {"file": tmp_path / "file", "dir": tmp_path, "workdir": workdir,
              "config": tmp_path / "c.json"}
     assert_rejected(run_cli(*(a.format(**paths) for a in argv)), needle)
+
+
+@pytest.mark.parametrize("argv,config,needle", [
+    (("train", "tokenizer"), {"vocab_size": 0}, "vocab_size must be positive"),
+    (("train", "tokenizer"), {"embed_dim": 0}, "embed_dim must be positive"),
+    (("train", "prior"), {"width": 0}, "width and heads must be positive"),
+    (("train", "prior"), {"heads": 0}, "width and heads must be positive"),
+    (("train", "prior"), {"heads": -2}, "width and heads must be positive"),
+    (("train", "tokenizer"), {"batch_size": 0}, "batch_size must be positive"),
+    (("train", "prior"), {"batch_size": -2}, "batch_size must be positive"),
+    (("train", "tokenizer"), {"steps": -5}, "steps must be non-negative"),
+    (("train", "tokenizer"), {"ema_decay": 1.5}, "ema_decay must lie in [0, 1]"),
+    (("datagen",), {"split": [1.2, -0.1, -0.1]}, "split fractions must be non-negative"),
+    (("datagen",), {"noise_level": NAN}, "noise_level must be a number, not NaN"),
+    (("datagen",), {"split": [NAN, 0.1, 0.1]}, "split must be a list of 3 numbers, not [NaN"),
+    (("datagen",), {"noise_level": 10 ** 400}, "noise_level must be a number, not 10000"),
+    (("train", "tokenizer"), {"optimizer": {"peak_lr": INF}},
+     "peak_lr must be a number, not Infinity"),
+    (("sample", "--cfg", "nan"), None, "cfg_scale must be finite and non-negative"),
+    (("sample", "--temperature", "nan"), None, "temperature must be non-negative"),
+])
+def test_out_of_range_or_non_finite_value_exits_2(workdir, tmp_path, argv, config, needle):
+    """Runs in tmp_path on workdir's corpus and checkpoints, so nothing is
+    written into workdir even where a value is let through."""
+    base = {"datagen": dict(SMALL_CORPUS, per_label=2),
+            "tokenizer": dict(SMALL_TOKENIZER, corpus_dir=str(workdir / "corpus")),
+            "prior": dict(SMALL_PRIOR, corpus_dir=str(workdir / "corpus"),
+                          tokenizer_checkpoint=str(workdir / "tokenizer.mvckpt"))}
+    if argv[0] == "sample":
+        out = run_cli(*argv, "--workdir", str(workdir), "--label", "ring_with_core",
+                      "--count", "1", "--out", str(tmp_path / "samples"))
+    else:
+        cfg = base[argv[-1]]
+        for key, value in config.items():
+            cfg[key] = dict(cfg[key], **value) if key == "optimizer" else value
+        write_json(tmp_path / "c.json", cfg)
+        out = run_cli(*argv, "--workdir", str(tmp_path), "--config", str(tmp_path / "c.json"))
+    assert_rejected(out, needle)
 
 
 def test_nan_weight_sample_exits_3_naming_the_op(workdir, tmp_path):

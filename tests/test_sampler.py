@@ -293,6 +293,18 @@ class TestGenerate:
         with pytest.raises(NumericError, match="non-finite sampling distribution at scale 0"):
             smp.generate(model, matched_tokenizer(schedule=(1,), vocab=4), 0, cfg)
 
+    def test_non_finite_distribution_does_not_rerun_the_walk(self, monkeypatch):
+        # no op is at fault, so a rerun with per-op checks on would only repeat the passes
+        model = toy_prior(schedule=(1,), vocab=4)
+        calls = []
+        forward = pr.PriorModel.next_scale_logits
+        monkeypatch.setattr(pr.PriorModel, "next_scale_logits",
+                            lambda *a, **kw: calls.append(1) or forward(*a, **kw))
+        cfg = smp.SamplingConfig(cfg_scale=2.0, temperature=1e-310)
+        with pytest.raises(NumericError, match="non-finite sampling distribution at scale 0"):
+            smp.generate(model, matched_tokenizer(schedule=(1,), vocab=4), 0, cfg)
+        assert len(calls) == 2
+
     def test_mismatched_schedules_rejected(self):
         model = toy_prior(schedule=(1, 2))
         tkn = matched_tokenizer(schedule=(1, 2, 4))
@@ -309,3 +321,6 @@ def test_sampling_config_validation():
         smp.SamplingConfig(top_k=0)
     with pytest.raises(ContractError):
         smp.SamplingConfig(temperature=-0.1)
+    for field, value in (("cfg_scale", np.nan), ("cfg_scale", np.inf), ("temperature", np.nan)):
+        with pytest.raises(ContractError, match=field):
+            smp.SamplingConfig(**{field: value})

@@ -52,22 +52,6 @@ class TestScaleSchedule:
         assert slices[-1].stop == 14
 
 
-class TestInterpolate:
-    def test_identity(self):
-        grid = np.random.default_rng(0).normal(size=(3, 3, 2))
-        out = tok.interpolate(grid, 3)
-        assert out is grid
-
-    def test_constant_preserved(self):
-        grid = np.full((2, 2, 5), 1.25)
-        assert np.allclose(tok.interpolate(grid, 7), 1.25)
-
-    def test_two_by_two_average(self):
-        grid = np.array([[0.0, 0.0], [1.0, 1.0]])[:, :, None]
-        out = tok.interpolate(grid, 1)
-        assert out[0, 0, 0] == pytest.approx(0.5)
-
-
 class TestQuantize:
     def cb(self, rows):
         rows = np.asarray(rows, dtype=np.float64)
