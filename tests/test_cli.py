@@ -376,7 +376,6 @@ class TestSectionShapes:
 @pytest.mark.parametrize("name,key,value,needle", [
     ("tokenizer", "vocab_size", "16", 'TokenizerConfig: vocab_size must be an integer, not "16"'),
     ("prior", "cond_dropout_p", None, "PriorConfig: cond_dropout_p must be a number, not null"),
-    ("tokenizer", "beta_commit", NAN, "TokenizerConfig: beta_commit must be a number, not NaN"),
     ("prior", "labels", ["ring_with_core"],
      'prior.mvckpt: labels must map ids to names, not ["ring_with_core"]'),
     ("prior", "labels", {"zero": "ring_with_core"},
@@ -385,6 +384,7 @@ class TestSectionShapes:
      "prior.mvckpt: 2 labels for a prior of n_labels=4"),
     ("prior", "labels", {"0": "a", "1": "a", "2": "ring_with_core", "3": "b"},
      "prior.mvckpt: label names must be distinct path components"),
+    ("tokenizer", "beta_commit", NAN, "TokenizerConfig: beta_commit must be a number, not NaN"),
 ])
 def test_mistyped_checkpoint_header_exits_2(workdir, tmp_path, name, key, value, needle):
     out = sample_rewritten(workdir, tmp_path, name,
