@@ -16,6 +16,7 @@ from .tensor import (
     index,
     l2_normalize,
     layernorm,
+    linear,
     log,
     log_softmax,
     matmul,

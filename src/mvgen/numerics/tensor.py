@@ -8,6 +8,16 @@ checked for NaN/Inf (a contract violation). The training loop and the sampler
 run with these per-op checks off and check their boundaries instead (a loss,
 a gradient norm, logits, an image); a boundary that fails reruns its step
 with per-op checks on, so the error names the op (`checked_at_boundaries`).
+
+Gradient ownership: a leaf (a tensor with no backward, such as a Parameter)
+owns its `.grad`, which `clip_grad_norm` scales in place. An interior node
+keeps the first gradient passed to it by reference, so it may share that
+array with other nodes; a second contribution makes a new array. No
+backward writes into the gradient `g` it is given.
+
+`linear(x, w, b)` is `x @ w + b` for a 2-D weight as one node, with the
+bits of the two ops; `gelu` computes its derivative in the forward pass
+when a gradient is needed.
 """
 
 from __future__ import annotations
@@ -134,10 +144,17 @@ class Tensor:
         if not self.requires_grad:
             return
         grad = _unbroadcast(np.asarray(grad), self.values.shape)
-        if self.grad is None:
-            self.grad = grad.astype(self.values.dtype, copy=True)
+        dtype = self.values.dtype
+        if self._backward is None:
+            # a leaf owns its gradient: clip_grad_norm scales it in place
+            if self.grad is None:
+                self.grad = grad.astype(dtype, copy=True)
+            else:
+                self.grad += grad
+        elif self.grad is None:
+            self.grad = grad.astype(dtype, copy=False)
         else:
-            self.grad += grad
+            self.grad = (self.grad + grad).astype(dtype, copy=False)
 
     def backward(self) -> None:
         """Populate gradients of the scalar loss w.r.t. every reachable tensor."""
@@ -334,15 +351,31 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
 def gelu(a) -> Tensor:
+    """tanh-approximated GELU; when a gradient is needed, the forward also
+    computes the derivative, reusing its own temporaries in place."""
     a = as_tensor(a)
     x = a.values
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    xx = x * x
+    t = np.tanh(_GELU_C * (x + 0.044715 * (xx * x)))
+    half_x = 0.5 * x
+    one_t = 1.0 + t
+    out = half_x * one_t
+    if not (_GRAD_ENABLED and a.requires_grad):
+        return _make(out, (a,), None, "gelu")
+    # da = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner,
+    # dinner = C * (1 + 3 * 0.044715 * x * x)
+    xx *= 3 * 0.044715
+    xx += 1.0
+    xx *= _GELU_C
+    t *= t
+    np.subtract(1.0, t, out=t)
+    t *= half_x
+    t *= xx
+    one_t *= 0.5
+    one_t += t
+    da = one_t
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-        da = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         a._accum(g * da)
 
     return _make(out, (a,), backward, "gelu")
@@ -498,6 +531,29 @@ def matmul(a, b) -> Tensor:
                 b._accum(np.swapaxes(av, -1, -2) @ g)
 
     return _make(out, (a, b), backward, "matmul")
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b for a 2-D weight as one node: the bias is added in place and
+    its gradient reduced as `add` reduces it, so the bits equal the two ops'."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    xv, wv = x.values, w.values
+    if xv.ndim < 2 or wv.ndim != 2:
+        raise ContractError("linear requires x with at least 2 dimensions and a 2-D weight")
+    x2 = xv.reshape(-1, xv.shape[-1])
+    out = (x2 @ wv).reshape(xv.shape[:-1] + (wv.shape[-1],))
+    out = out.astype(np.promote_types(out.dtype, b.values.dtype), copy=False)
+    out += b.values
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            x._accum((g2 @ wv.T).reshape(xv.shape))
+        if w.requires_grad:
+            w._accum(x2.T @ g2)
+        b._accum(g)
+
+    return _make(out, (x, w, b), backward, "linear")
 
 
 # -- normalization and softmax ------------------------------------------------

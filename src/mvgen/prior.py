@@ -38,6 +38,7 @@ from .numerics import (
     gelu,
     l2_normalize,
     layernorm,
+    linear,
     log_softmax,
     no_grad,
     resize_bilinear,
@@ -63,6 +64,8 @@ class PriorConfig(ModelConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.depth < 0:
+            raise ContractError("depth must be non-negative")
         if self.width < 1 or self.heads < 1:
             raise ContractError("width and heads must be positive")
         if self.width % self.heads != 0:
@@ -206,8 +209,7 @@ class PriorModel:
             acc = acc + resize_bilinear(codes.astype(dtype), n_latent, n_latent).values
             up = resize_bilinear(acc, n, n).values
             flat = up.transpose(0, 2, 3, 1).reshape(b, n * n, cfg.code_dim)
-            pieces.append(as_tensor(flat) @ self.params["input_proj.w"]
-                          + self.params["input_proj.b"])
+            pieces.append(self._linear("input_proj", flat))
         cache.acc = acc
         seq = pieces[0] if len(pieces) == 1 else concat(pieces, axis=1)
         start, end = self._offsets[first], self._offsets[k_active]
@@ -216,9 +218,12 @@ class PriorModel:
         level = take(self.params["level_emb"], self._level_ids[start:end])
         return seq + pos.reshape(1, rows, cfg.width) + level.reshape(1, rows, cfg.width)
 
+    def _linear(self, name: str, x) -> Tensor:
+        return linear(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
+
     def _modulation(self, cond: Tensor, name: str, chunks: int) -> list[Tensor]:
         w = self.config.width
-        mod = cond @ self.params[f"{name}.w"] + self.params[f"{name}.b"]
+        mod = self._linear(name, cond)
         b = mod.shape[0]
         return [mod[:, i * w:(i + 1) * w].reshape(b, 1, w) for i in range(chunks)]
 
@@ -233,7 +238,7 @@ class PriorModel:
         heads, hd = cfg.heads, cfg.width // cfg.heads
 
         def project(piece):
-            out = h_in @ self.params[f"block{i}.{piece}.w"] + self.params[f"block{i}.{piece}.b"]
+            out = self._linear(f"block{i}.{piece}", h_in)
             return out.reshape(b, rows, heads, hd).transpose(0, 2, 1, 3)
 
         q = l2_normalize(project("wq"))
@@ -250,7 +255,7 @@ class PriorModel:
         scores = scores + as_tensor(self._mask_bias[start:end, :end])
         att = softmax(scores)
         mixed = (att @ v).transpose(0, 2, 1, 3).reshape(b, rows, cfg.width)
-        return mixed @ self.params[f"block{i}.wo.w"] + self.params[f"block{i}.wo.b"]
+        return self._linear(f"block{i}.wo", mixed)
 
     def _run(self, seq: Tensor, cond: Tensor, cache: ScaleCache) -> Tensor:
         """(B, L', W) inputs + (B, W) condition -> (B, L', V) logits for the
@@ -261,12 +266,12 @@ class PriorModel:
             h = layernorm(x) * (g1 + 1.0) + b1
             x = x + a1 * self._attention(i, h, cache)
             h = layernorm(x) * (g2 + 1.0) + b2
-            ffn = gelu(h @ self.params[f"block{i}.ffn1.w"] + self.params[f"block{i}.ffn1.b"])
-            ffn = ffn @ self.params[f"block{i}.ffn2.w"] + self.params[f"block{i}.ffn2.b"]
+            ffn = gelu(self._linear(f"block{i}.ffn1", h))
+            ffn = self._linear(f"block{i}.ffn2", ffn)
             x = x + a2 * ffn
         gf, bf = self._modulation(cond, "final.adaln", 2)
         x = layernorm(x) * (gf + 1.0) + bf
-        return x @ self.params["head.w"] + self.params["head.b"]
+        return self._linear("head", x)
 
     def forward_batch(self, grids: Sequence[np.ndarray], labels: np.ndarray) -> Tensor:
         """Teacher-forced logits (B, L, V) for full pyramids."""

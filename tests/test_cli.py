@@ -17,8 +17,8 @@ REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 NAN, INF = float("nan"), float("inf")
 
 
-def run_cli(*argv, cwd=None):
-    env = dict(os.environ, PYTHONPATH=REPO_SRC)
+def run_cli(*argv, cwd=None, **env_vars):
+    env = dict(os.environ, PYTHONPATH=REPO_SRC, **env_vars)
     return subprocess.run([sys.executable, "-m", "mvgen", *argv],
                           capture_output=True, text=True, env=env, cwd=cwd)
 
@@ -465,6 +465,7 @@ def test_path_of_the_wrong_kind_exits_2(workdir, tmp_path, argv, needle):
      "peak_lr must be a number, not Infinity"),
     (("sample", "--cfg", "nan"), None, "cfg_scale must be finite and non-negative"),
     (("sample", "--temperature", "nan"), None, "temperature must be non-negative"),
+    (("train", "prior"), {"depth": -1}, "depth must be non-negative"),
 ])
 def test_out_of_range_or_non_finite_value_exits_2(workdir, tmp_path, argv, config, needle):
     """Runs in tmp_path on workdir's corpus and checkpoints, so nothing is
@@ -493,7 +494,7 @@ def test_nan_weight_sample_exits_3_naming_the_op(workdir, tmp_path):
     assert out.returncode == 3
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("numeric failure: ") and out.stderr.count("\n") == 1
-    assert "non-finite values produced by op 'matmul'" in out.stderr
+    assert "non-finite values produced by op 'linear'" in out.stderr
 
 
 def test_overflowing_temperature_sample_exits_3(workdir):
@@ -543,6 +544,27 @@ class TestSample:
         assert out.returncode == 0
         pgms = [n for n in os.listdir(workdir / "empty") if n.endswith(".pgm")]
         assert pgms == []
+
+
+def test_training_and_guided_sampling_hash_the_same_at_1_and_2_blas_threads(workdir, tmp_path):
+    """Output is a pure function of (weights, label, config, seed), whatever
+    the BLAS thread count."""
+    config = dict(SMALL_PRIOR, corpus_dir=str(workdir / "corpus"),
+                  tokenizer_checkpoint=str(workdir / "tokenizer.mvckpt"))
+    hashes = []
+    for threads in ("1", "2"):
+        root = tmp_path / f"threads{threads}"
+        root.mkdir()
+        write_json(root / "prior.json", config)
+        out = run_cli("train", "prior", "--workdir", str(root), "--config", str(root / "prior.json"),
+                      OPENBLAS_NUM_THREADS=threads)
+        assert out.returncode == 0, out.stderr
+        out = run_cli("sample", "--workdir", str(root), "--tokenizer", config["tokenizer_checkpoint"],
+                      "--label", "ring_with_core", "--count", "3", "--seed", "11", "--tokens",
+                      OPENBLAS_NUM_THREADS=threads)
+        assert out.returncode == 0, out.stderr
+        hashes.append(dir_hash(root))
+    assert hashes[0] == hashes[1]
 
 
 class TestEval:

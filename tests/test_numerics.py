@@ -105,6 +105,8 @@ OPS = {
     "mean_axis": lambda x: (x.mean(axis=-1) ** 2.0).sum(),
     "index": lambda x: (x[1:3] * 2.0).sum(),
     "concat": lambda x: nx.concat([x, x * 2.0], axis=0).sum(),
+    # x is the input, the weight and (one row of it) the bias at once
+    "linear": lambda x: (nx.linear(x, x * 0.5, x[2]) * nx.Tensor(np.linspace(-1, 1, 4))).sum(),
 }
 
 
@@ -138,6 +140,67 @@ def test_batched_matmul_broadcast_gradients():
     build(w).backward()
     fd = finite_diff(lambda v: build(nx.Tensor(v)).item(), w_val.copy())
     assert rel_err(w.grad, fd) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)])
+def test_linear_equals_matmul_then_add_bit_for_bit(x_shape, dtype):
+    rng = np.random.default_rng(13)
+    values = [rng.normal(size=shape).astype(dtype) for shape in (x_shape, (4, 3), (3,))]
+    probe = nx.Tensor(rng.normal(size=x_shape[:-1] + (3,)).astype(dtype))
+
+    def run(op):
+        x, w, b = (nx.Tensor(v.copy(), requires_grad=True) for v in values)
+        out = op(x, w, b)
+        (out * probe).sum().backward()
+        return [t.tobytes() for t in (out.values, x.grad, w.grad, b.grad)]
+
+    fused = run(nx.linear)
+    assert fused == run(lambda x, w, b: nx.add(nx.matmul(x, w), b))
+
+
+def test_gelu_gradient_has_the_unfused_bits_and_no_grad_builds_no_derivative():
+    def unfused_grad(x, g):  # the reference: each term computed from x afresh
+        t = np.tanh(0.7978845608028654 * (x + 0.044715 * (x * x * x)))
+        dinner = 0.7978845608028654 * (1.0 + 3 * 0.044715 * (x * x))
+        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+
+    rng = np.random.default_rng(14)
+    for dtype in (np.float32, np.float64):
+        x_val = rng.normal(0, 2, size=(6, 7)).astype(dtype)
+        probe = rng.normal(size=(6, 7)).astype(dtype)
+        x = nx.Tensor(x_val.copy(), requires_grad=True)
+        y = nx.gelu(x)
+        (y * nx.Tensor(probe)).sum().backward()
+        assert x.grad.tobytes() == unfused_grad(x_val, probe).tobytes()
+        with nx.no_grad():
+            y_no_grad = nx.gelu(x)
+        assert y_no_grad._backward is None and not y_no_grad.requires_grad
+        assert y_no_grad.values.tobytes() == y.values.tobytes()
+
+
+def test_leaves_fed_by_one_add_own_their_gradients_through_clipping():
+    probe = np.array([3.0, 4.0])
+    a, b = nx.Parameter(np.zeros(2)), nx.Parameter(np.ones(2))
+    ((a + b) * nx.Tensor(probe)).sum().backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    scale = nx.clip_grad_norm([a, b], 1.0)
+    assert scale == pytest.approx(1.0 / (5.0 * math.sqrt(2.0)))
+    assert np.array_equal(a.grad, probe * scale) and np.array_equal(b.grad, probe * scale)
+
+
+def test_interior_fanout_accumulates_without_changing_its_consumers_gradient():
+    probe = np.array([1.0, -2.0, 0.5])
+    x = nx.Tensor(np.array([0.3, 0.1, -0.7]), requires_grad=True)
+    y = x * 3.0
+    s = y + y  # s passes one gradient array to y twice
+    (s * nx.Tensor(probe)).sum().backward()
+    assert np.array_equal(s.grad, probe)
+    assert np.array_equal(y.grad, 2.0 * probe)
+    assert np.array_equal(x.grad, 6.0 * probe)
+    z = x * 2.0  # its first gradient is reduce_sum's read-only broadcast view
+    (z.sum() + (z * nx.Tensor(probe)).sum()).backward()
+    assert np.array_equal(z.grad, 1.0 + probe)
 
 
 def test_take_and_take_along_last_gradients():

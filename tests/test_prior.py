@@ -243,7 +243,7 @@ class TestTraining:
         grids = [rng.integers(0, 16, size=(8, n, n)) for n in (1, 2, 3)]
         opt = OptimizerConfig(peak_lr=1e-3, warmup_steps=1, total_steps=5)
         with pytest.raises(NumericError, match="prior training diverged at step 0: "
-                                               "non-finite values produced by op 'matmul'"):
+                                               "non-finite values produced by op 'linear'"):
             pr.train_prior(grids, rng.integers(0, 3, size=8), model, opt, steps=1, batch_size=4)
 
     def test_full_condition_dropout_blocks_label_gradient(self):
@@ -352,3 +352,6 @@ def test_config_validation():
         pr.PriorConfig(width=30, heads=4)
     with pytest.raises(ContractError):
         pr.PriorConfig(cond_dropout_p=1.0)
+    with pytest.raises(ContractError, match="depth must be non-negative"):
+        pr.PriorConfig(depth=-1)
+    assert pr.PriorConfig(depth=0).depth == 0

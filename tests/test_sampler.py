@@ -277,7 +277,7 @@ class TestGenerate:
         with pytest.raises(NumericError, match="log"):
             nx.log(nx.Tensor([-1.0]))
         model.params["block0.ffn1.w"].values[0, 0] = np.nan
-        with pytest.raises(NumericError, match="non-finite values produced by op 'matmul'"):
+        with pytest.raises(NumericError, match="non-finite values produced by op 'linear'"):
             smp.generate(model, tkn, 0, cfg)
         with pytest.raises(NumericError, match="log"):
             nx.log(nx.Tensor([-1.0]))
