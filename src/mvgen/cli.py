@@ -291,6 +291,8 @@ def _load_models(args):
 
 
 def cmd_sample(args) -> int:
+    if args.count < 0:
+        raise ConfigError(f"--count must be non-negative, not {args.count}")
     tokenizer, model, label_id = _load_models(args)
     cfg = smp.SamplingConfig(cfg_scale=None if args.no_cfg else args.cfg,
                              top_k=args.top_k, top_p=args.top_p,

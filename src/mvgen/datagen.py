@@ -46,6 +46,9 @@ FAMILY_MODALITY = {
     LATTICE_OF_BLOBS: MRI,
 }
 
+# mask components smaller than this share of the slice are dropped
+MIN_AREA_FRACTION = 0.001
+
 # soft-tissue window defaults
 CT_WINDOW_LEVEL = 40.0
 CT_WINDOW_WIDTH = 400.0
@@ -300,12 +303,12 @@ def label_components(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels, counts
 
 
-def foreground_filter(raw: RawSlice, min_area_fraction: float = 0.001) -> RawSlice | None:
-    """Drop mask components below min_area_fraction of the slice; None = rejected."""
+def foreground_filter(raw: RawSlice) -> RawSlice | None:
+    """Drop mask components below MIN_AREA_FRACTION of the slice; None = rejected."""
     labels, counts = label_components(raw.mask.astype(bool))
     if counts.size == 0:
         return None
-    threshold = min_area_fraction * raw.mask.size
+    threshold = MIN_AREA_FRACTION * raw.mask.size
     keep = np.flatnonzero(counts >= threshold) + 1
     if keep.size == 0:
         return None

@@ -125,13 +125,14 @@ def kid(features_a: np.ndarray, features_b: np.ndarray) -> float:
     return float(term_a + term_b - 2.0 * k_ab.mean())
 
 
-def efficiency(q: float, p: float, gamma: float = EFFICIENCY_GAMMA) -> float:
-    """Quality-latency score q * (log10(1 + p))^gamma; lower is better."""
-    if q < 0 or p < 0:
-        raise ContractError("efficiency needs non-negative quality and time")
+def efficiency(q: float, p: float) -> float:
+    """Quality-latency score q * (log10(1 + p))^EFFICIENCY_GAMMA; lower is better."""
+    if q < 0 or not 0.0 <= p < math.inf:
+        raise ContractError("efficiency needs a non-negative quality and a finite, "
+                            f"non-negative time, not quality {q} and time {p}")
     if p == 0.0:
         return 0.0  # degenerate: log10(1) == 0; flagged by the report layer
-    return q * math.log10(1.0 + p) ** gamma
+    return q * math.log10(1.0 + p) ** EFFICIENCY_GAMMA
 
 
 @dataclasses.dataclass
@@ -201,8 +202,7 @@ class MetricReport:
 
 
 def evaluate(real: np.ndarray, fake: np.ndarray, embedder: FeatureEmbedder,
-             median_time_s: float = 0.0, model: str = "local", gamma: float = EFFICIENCY_GAMMA,
-             seed: int = 0) -> MetricReport:
+             median_time_s: float = 0.0, model: str = "local", seed: int = 0) -> MetricReport:
     """Embed both sets, fit Gaussians, compute FID / KID / efficiency."""
     if real.shape[0] == 0 or fake.shape[0] == 0:
         raise ContractError("evaluate needs non-empty real and fake sets")
@@ -211,10 +211,10 @@ def evaluate(real: np.ndarray, fake: np.ndarray, embedder: FeatureEmbedder,
     fid = frechet_distance(GaussianStats.from_features(feats_real),
                            GaussianStats.from_features(feats_fake))
     kid_value = kid(feats_real, feats_fake)
-    eff = efficiency(max(fid, 0.0), median_time_s, gamma)
+    eff = efficiency(max(fid, 0.0), median_time_s)
     return MetricReport(model=model, n_real=real.shape[0], n_fake=fake.shape[0],
                         fid=fid, kid=kid_value, median_time_s=median_time_s,
-                        efficiency=eff, gamma=gamma, seed=seed,
+                        efficiency=eff, gamma=EFFICIENCY_GAMMA, seed=seed,
                         degenerate_time=(median_time_s == 0.0),
                         embedder_hash=embedder.checkpoint_hash)
 

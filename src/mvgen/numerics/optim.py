@@ -34,9 +34,9 @@ class OptimizerConfig:
         if self.min_lr is None:
             object.__setattr__(self, "min_lr", self.peak_lr / 100.0)
 
-    def scaled_for_batch(self, batch_size: int, reference: int = 32) -> "OptimizerConfig":
-        """Scale peak (and floor) learning rate linearly with the global batch size."""
-        factor = batch_size / reference
+    def scaled_for_batch(self, batch_size: int) -> "OptimizerConfig":
+        """Scale peak (and floor) learning rate linearly with batch_size / 32."""
+        factor = batch_size / 32
         return dataclasses.replace(self, peak_lr=self.peak_lr * factor,
                                    min_lr=self.min_lr * factor)
 

@@ -134,9 +134,6 @@ class Tensor:
             raise ContractError("item() requires a single-element tensor")
         return float(self.values.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values, False, _op="detach")
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -232,12 +229,7 @@ class Tensor:
 
 
 def as_tensor(x, dtype=None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x, dtype=dtype if dtype is not None else None)
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64 if dtype is None else dtype)
-    return Tensor(arr)
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
 
 def _pair(a, b) -> tuple[Tensor, Tensor]:
@@ -382,7 +374,7 @@ def gelu(a) -> Tensor:
 
 
 def stop_gradient(a) -> Tensor:
-    return as_tensor(a).detach()
+    return Tensor(as_tensor(a).values, _op="stop_gradient")
 
 
 # -- shape ops -------------------------------------------------------------
@@ -426,7 +418,7 @@ def concat(parts: Sequence, axis: int = 0) -> Tensor:
     return _make(out, tuple(tensors), backward, "concat")
 
 
-def index(a, key) -> Tensor:
+def _gather(a, key, op: str) -> Tensor:
     a = as_tensor(a)
     out = a.values[key]
     src_shape = a.values.shape
@@ -436,22 +428,16 @@ def index(a, key) -> Tensor:
         np.add.at(full, key, g)
         a._accum(full)
 
-    return _make(out, (a,), backward, "index")
+    return _make(out, (a,), backward, op)
+
+
+def index(a, key) -> Tensor:
+    return _gather(a, key, "index")
 
 
 def take(a, indices: np.ndarray) -> Tensor:
     """Gather rows with integer indices (embedding lookup)."""
-    a = as_tensor(a)
-    idx = np.asarray(indices)
-    out = np.take(a.values, idx, axis=0)
-    src_shape = a.values.shape
-
-    def backward(g):
-        full = np.zeros(src_shape, dtype=g.dtype)
-        np.add.at(full, idx, g)
-        a._accum(full)
-
-    return _make(out, (a,), backward, "take")
+    return _gather(a, np.asarray(indices), "take")
 
 
 def take_along_last(a, indices: np.ndarray) -> Tensor:
@@ -472,36 +458,29 @@ def take_along_last(a, indices: np.ndarray) -> Tensor:
 # -- reductions and linear algebra ------------------------------------------
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    out = a.values.sum(axis=axis, keepdims=keepdims)
+def _reduction(a: Tensor, out: np.ndarray, axis, keepdims: bool, op: str,
+               count: int = 1) -> Tensor:
+    """A sum of a over axis, divided by count; g spreads back over the axes."""
     src_shape = a.values.shape
 
     def backward(g):
-        g = np.asarray(g)
         if axis is not None and not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            g = np.expand_dims(g, axes)
-        a._accum(np.broadcast_to(g, src_shape))
+            g = np.expand_dims(g, axis)
+        g = np.broadcast_to(g, src_shape)
+        a._accum(g / count if count != 1 else g)
 
-    return _make(out, (a,), backward, "sum")
+    return _make(out, (a,), backward, op)
+
+
+def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+    a = as_tensor(a)
+    return _reduction(a, a.values.sum(axis=axis, keepdims=keepdims), axis, keepdims, "sum")
 
 
 def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out = a.values.mean(axis=axis, keepdims=keepdims)
-    src_shape = a.values.shape
-    count = a.values.size if axis is None else int(np.prod(
-        [src_shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]))
-
-    def backward(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            g = np.expand_dims(g, axes)
-        a._accum(np.broadcast_to(g, src_shape) / count)
-
-    return _make(out, (a,), backward, "mean")
+    return _reduction(a, out, axis, keepdims, "mean", a.values.size // max(out.size, 1))
 
 
 def matmul(a, b) -> Tensor:

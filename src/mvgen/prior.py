@@ -48,7 +48,7 @@ from .numerics import (
     train_loop,
 )
 from .rng import rng_for
-from .tokenizer import ModelConfig, ScaleSchedule, TokenPyramid
+from .tokenizer import EVAL_CHUNK, ModelConfig, ScaleSchedule, TokenPyramid
 
 MASK_BIAS = -1e9  # exp() underflows to exactly 0.0, so masking is bit-exact
 
@@ -213,19 +213,18 @@ class PriorModel:
         cache.acc = acc
         seq = pieces[0] if len(pieces) == 1 else concat(pieces, axis=1)
         start, end = self._offsets[first], self._offsets[k_active]
-        rows = end - start
         pos = self.params["pos_emb"][start:end]
         level = take(self.params["level_emb"], self._level_ids[start:end])
-        return seq + pos.reshape(1, rows, cfg.width) + level.reshape(1, rows, cfg.width)
+        return seq + pos + level
 
     def _linear(self, name: str, x) -> Tensor:
         return linear(x, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
     def _modulation(self, cond: Tensor, name: str, chunks: int) -> list[Tensor]:
+        """The chunks of one AdaLN projection of the (B, 1, W) condition."""
         w = self.config.width
         mod = self._linear(name, cond)
-        b = mod.shape[0]
-        return [mod[:, i * w:(i + 1) * w].reshape(b, 1, w) for i in range(chunks)]
+        return [mod[:, :, i * w:(i + 1) * w] for i in range(chunks)]
 
     def _attention(self, i: int, h_in: Tensor, cache: ScaleCache) -> Tensor:
         """Block i's attention for the rows after the scales the cache holds.
@@ -261,6 +260,7 @@ class PriorModel:
         """(B, L', W) inputs + (B, W) condition -> (B, L', V) logits for the
         rows after the scales the cache holds."""
         x = seq
+        cond = cond.reshape(cond.shape[0], 1, self.config.width)
         for i in range(self.config.depth):
             g1, b1, a1, g2, b2, a2 = self._modulation(cond, f"block{i}.adaln", 6)
             h = layernorm(x) * (g1 + 1.0) + b1
@@ -350,15 +350,14 @@ def train_prior(grids: Sequence[np.ndarray], labels: np.ndarray, model: PriorMod
                       "prior", loss_at)
 
 
-def per_token_loss(model: PriorModel, grids: Sequence[np.ndarray], labels: np.ndarray,
-                   chunk: int = 64) -> float:
+def per_token_loss(model: PriorModel, grids: Sequence[np.ndarray], labels: np.ndarray) -> float:
     """Held-out evaluation loss (no condition dropout)."""
     total, count = 0.0, 0
     n = labels.shape[0]
     with no_grad():
-        for lo in range(0, n, chunk):
-            part = [np.asarray(g)[lo:lo + chunk] for g in grids]
-            part_labels = labels[lo:lo + chunk]
+        for lo in range(0, n, EVAL_CHUNK):
+            part = [np.asarray(g)[lo:lo + EVAL_CHUNK] for g in grids]
+            part_labels = labels[lo:lo + EVAL_CHUNK]
             loss = batch_loss(model, part, part_labels)
             tokens = part_labels.shape[0] * model.schedule.token_count
             total += loss.item() * tokens

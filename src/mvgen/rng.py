@@ -17,6 +17,8 @@ import hashlib
 
 import numpy as np
 
+from .numerics import ContractError
+
 # Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11)
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
@@ -29,20 +31,26 @@ def _key_part(part: int | str) -> bytes:
     if isinstance(part, str):
         return b"s" + part.encode("utf-8") + b"\x00"
     if isinstance(part, (int, np.integer)):
-        return b"i" + int(part).to_bytes(16, "little", signed=True) + b"\x00"
+        try:
+            return b"i" + int(part).to_bytes(16, "little", signed=True) + b"\x00"
+        except OverflowError:  # a try is free; a range check per position is not
+            raise ContractError(
+                f"rng key part {part} lies outside the signed 128-bit range") from None
     raise TypeError(f"rng key parts must be int or str, got {type(part).__name__}")
 
 
-def _mix(parts: tuple) -> np.ndarray:
+def _hasher(parts) -> "hashlib.blake2b":
+    """The 16-byte blake2b state after the key parts, in order."""
     h = hashlib.blake2b(digest_size=16)
     for part in parts:
         h.update(_key_part(part))
-    return np.frombuffer(h.digest(), dtype=np.uint64)
+    return h
 
 
 def rng_for(*key_parts: int | str) -> np.random.Generator:
     """Deterministic generator for a key tuple (Philox, counter-based)."""
-    return np.random.Generator(np.random.Philox(key=_mix(key_parts)))
+    key = np.frombuffer(_hasher(key_parts).digest(), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def first_uniforms(prefix: tuple, positions) -> np.ndarray:
@@ -52,9 +60,7 @@ def first_uniforms(prefix: tuple, positions) -> np.ndarray:
     [1, 0, 0, 0]; its first round has a closed form, the other nine run here
     on (2, n) uint64 arrays, and random() is the first word's top 53 bits.
     """
-    h = hashlib.blake2b(digest_size=16)
-    for part in prefix:
-        h.update(_key_part(part))
+    h = _hasher(prefix)
     digests = []
     for pos in positions:
         g = h.copy()

@@ -47,6 +47,7 @@ MVTK_VERSION = 1
 # only has to make each subtraction shrink the residual; at weight 1 the desk
 # prior's guided samples failed criterion 8e (two labels at 0.895).
 WALK_WEIGHT = 1.0 / 16
+EVAL_CHUNK = 64  # images (or token pyramids) per batch in held-out evaluation
 
 
 @dataclasses.dataclass(frozen=True)
@@ -183,14 +184,7 @@ class TokenizerConfig(ModelConfig):
         stages = self.num_stages
         if stages == 1:
             return [self.embed_dim]
-        widths = [32] + [64] * (stages - 2) + [self.embed_dim]
-        return widths
-
-
-def paper_config() -> TokenizerConfig:
-    """Full-resolution configuration (not exercised by the desk-scale suite)."""
-    return TokenizerConfig(resolution=256, schedule=PAPER_SCHEDULE.sizes,
-                           vocab_size=4096, embed_dim=32, dtype="float32")
+        return [32] + [64] * (stages - 2) + [self.embed_dim]
 
 
 def _parameters(config: TokenizerConfig, draw) -> dict[str, Parameter]:
@@ -299,15 +293,6 @@ def _lookup(grid: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
     return embeddings[grid].transpose(0, 3, 1, 2)
 
 
-def _check_pyramid(pyramid: TokenPyramid, model: TokenizerModel) -> None:
-    if pyramid.sizes != model.schedule.sizes:
-        raise ContractError(
-            f"pyramid sizes {pyramid.sizes} do not match schedule {model.schedule.sizes}")
-    for g in pyramid.grids:
-        if g.size and g.max() >= model.codebook.vocab_size:
-            raise ContractError("token index out of codebook range")
-
-
 def _walk(model: TokenizerModel, images: np.ndarray,
           grids: Sequence[np.ndarray] | None = None,
           offsets: Sequence[np.ndarray] | None = None) -> tuple[Tensor, list[tuple]]:
@@ -373,7 +358,9 @@ def decode_batch(model: TokenizerModel, grids: Sequence[np.ndarray],
 
 
 def decode(pyramid: TokenPyramid, model: TokenizerModel) -> np.ndarray:
-    _check_pyramid(pyramid, model)
+    if pyramid.sizes != model.schedule.sizes:
+        raise ContractError(
+            f"pyramid sizes {pyramid.sizes} do not match schedule {model.schedule.sizes}")
     return decode_batch(model, [g[None] for g in pyramid.grids])[0]
 
 
@@ -536,29 +523,27 @@ def residual_energies(model: TokenizerModel, images: np.ndarray) -> list[float]:
     return [float((f.values.astype(np.float64) ** 2).mean()) for *_, f in scales]
 
 
-def _squared_errors(model: TokenizerModel, images: np.ndarray, chunk: int,
-                    upto_scale: int | None = None):
+def _squared_errors(model: TokenizerModel, images: np.ndarray, upto_scale: int | None = None):
     """(recon - image)^2 for each chunk of images, encoded and decoded."""
-    for lo in range(0, images.shape[0], chunk):
-        part = images[lo:lo + chunk]
+    for lo in range(0, images.shape[0], EVAL_CHUNK):
+        part = images[lo:lo + EVAL_CHUNK]
         yield (decode_batch(model, encode_batch(model, part), upto_scale=upto_scale) - part) ** 2
 
 
 def reconstruction_mse(model: TokenizerModel, images: np.ndarray,
-                       upto_scale: int | None = None, chunk: int = 64) -> float:
+                       upto_scale: int | None = None) -> float:
     """Mean squared reconstruction error over a slice set."""
-    return sum(float(sq.sum()) for sq in _squared_errors(model, images, chunk, upto_scale)) / images.size
+    return sum(float(sq.sum()) for sq in _squared_errors(model, images, upto_scale)) / images.size
 
 
-def reconstruction_psnr(model: TokenizerModel, images: np.ndarray, chunk: int = 64) -> float:
+def reconstruction_psnr(model: TokenizerModel, images: np.ndarray) -> float:
     """Mean per-image PSNR (dB) of encode->decode against the originals."""
     return float(np.mean(np.concatenate([
         10.0 * np.log10(1.0 / np.maximum(sq.mean(axis=(1, 2)), 1e-12))
-        for sq in _squared_errors(model, images, chunk)])))
+        for sq in _squared_errors(model, images)])))
 
 
-def codebook_usage(model: TokenizerModel, images: np.ndarray,
-                   chunk: int = 64) -> tuple[np.ndarray, float, np.ndarray]:
+def codebook_usage(model: TokenizerModel, images: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     """Empirical code-selection frequency over a held-out set.
 
     Returns (histogram summing to 1, utilization fraction, square heatmap).
@@ -567,8 +552,8 @@ def codebook_usage(model: TokenizerModel, images: np.ndarray,
         raise ContractError("codebook_usage needs a non-empty eval set")
     v = model.codebook.vocab_size
     counts = np.zeros(v, dtype=np.int64)
-    for lo in range(0, images.shape[0], chunk):
-        grids = encode_batch(model, images[lo:lo + chunk])
+    for lo in range(0, images.shape[0], EVAL_CHUNK):
+        grids = encode_batch(model, images[lo:lo + EVAL_CHUNK])
         for g in grids:
             counts += np.bincount(g.reshape(-1), minlength=v)
     hist = counts / counts.sum()

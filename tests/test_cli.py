@@ -466,6 +466,10 @@ def test_path_of_the_wrong_kind_exits_2(workdir, tmp_path, argv, needle):
     (("sample", "--cfg", "nan"), None, "cfg_scale must be finite and non-negative"),
     (("sample", "--temperature", "nan"), None, "temperature must be non-negative"),
     (("train", "prior"), {"depth": -1}, "depth must be non-negative"),
+    (("datagen",), {"master_seed": 2**127}, f"rng key part {2**127} lies outside"),
+    (("train", "tokenizer"), {"seed": 2**127}, f"rng key part {2**127} lies outside"),
+    (("train", "prior"), {"model_seed": -2**127 - 1}, f"rng key part {-2**127 - 1} lies outside"),
+    (("sample", "--seed", str(2**127)), None, f"rng key part {2**127} lies outside"),
 ])
 def test_out_of_range_or_non_finite_value_exits_2(workdir, tmp_path, argv, config, needle):
     """Runs in tmp_path on workdir's corpus and checkpoints, so nothing is
@@ -538,6 +542,12 @@ class TestSample:
                 y = (workdir / "cfg_off" / name).read_bytes()
                 assert x == y
 
+    def test_negative_count_exits_2_writing_nothing(self, workdir):
+        out = run_cli("sample", "--workdir", str(workdir), "--label", "nested_ellipses",
+                      "--count", "-2", "--out", "negative")
+        assert_rejected(out, "--count must be non-negative, not -2")
+        assert not (workdir / "negative").exists()
+
     def test_count_zero_succeeds_with_no_files(self, workdir):
         out = run_cli("sample", "--workdir", str(workdir), "--label", "nested_ellipses",
                       "--count", "0", "--out", "empty")
@@ -605,6 +615,15 @@ class TestEval:
                       "--fake", str(mixed), "--embedder", "tokenizer.mvckpt")
         assert out.returncode == 2
         assert "mixed" in out.stderr.lower() or "sizes" in out.stderr
+
+    @pytest.mark.parametrize("time", ["nan", "inf", "-0.5"])
+    def test_time_not_finite_and_non_negative_exits_2_appending_nothing(self, workdir, time):
+        out = run_cli("eval", "--workdir", str(workdir), "--real", "corpus/images/parallel_bands",
+                      "--fake", "corpus/images/nested_ellipses", "--embedder", "tokenizer.mvckpt",
+                      "--time", time, "--out", "m_time.csv")
+        assert_rejected(out, "a finite, non-negative time")
+        assert f"and time {float(time)}" in out.stderr
+        assert not (workdir / "m_time.csv").exists()
 
     def test_row_consistent_with_efficiency_formula(self, workdir):
         label_dir = "corpus/images/parallel_bands"

@@ -144,6 +144,11 @@ class TestEfficiency:
     def test_published_rows(self, q, p, expected):
         assert mx.efficiency(q, p) == pytest.approx(expected, abs=0.05)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -0.5])
+    def test_time_must_be_finite_and_non_negative(self, p):
+        with pytest.raises(ContractError, match="finite, non-negative time"):
+            mx.efficiency(10.0, p)
+
     def test_zero_time_degenerate(self):
         assert mx.efficiency(50.0, 0.0) == 0.0
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mvgen.numerics import ContractError
 from mvgen.rng import first_uniforms, rng_for
 
 SIGNED_128 = st.integers(-2**127, 2**127 - 1)
@@ -36,3 +37,10 @@ def test_bad_key_part_is_type_error(prefix, positions):
         first_uniforms(prefix, positions)
     with pytest.raises(TypeError, match="rng key parts must be int or str"):
         rng_for(*prefix, *positions)
+
+
+@pytest.mark.parametrize("prefix,positions", [((2**127,), [0]), ((1,), [-2**127 - 1])])
+def test_key_part_outside_signed_128_bits_is_contract_error(prefix, positions):
+    for draw in (lambda: first_uniforms(prefix, positions), lambda: rng_for(*prefix, *positions)):
+        with pytest.raises(ContractError, match="lies outside the signed 128-bit range"):
+            draw()

@@ -377,7 +377,8 @@ class TestCheckpoint:
 
 
 def test_paper_config_is_constructible():
-    cfg = tok.paper_config()
+    cfg = tok.TokenizerConfig(resolution=256, schedule=tok.PAPER_SCHEDULE.sizes,
+                              vocab_size=4096, embed_dim=32)
     assert cfg.scale_schedule.token_count == 680
     assert cfg.num_stages == 4  # 256 -> 16 is a factor-16 downsample
     assert cfg.stage_widths() == [32, 64, 64, 32]
