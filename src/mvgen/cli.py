@@ -26,6 +26,7 @@ from . import sampler as smp
 from . import tokenizer as tok
 from .configs import ConfigError, parse_config
 from .numerics import ContractError, NumericError, OptimizerConfig
+from .rng import rng_for
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -297,6 +298,10 @@ def cmd_sample(args) -> int:
     cfg = smp.SamplingConfig(cfg_scale=None if args.no_cfg else args.cfg,
                              top_k=args.top_k, top_p=args.top_p,
                              temperature=args.temperature, seed=args.seed)
+    if cfg.top_k is not None and cfg.top_k > model.config.vocab_size:
+        raise ContractError("top_k exceeds the vocabulary size")
+    if args.count:  # the first and last image seeds must be rng key parts
+        rng_for(cfg.seed, cfg.seed + args.count - 1)
     out_dir = os.path.join(args.workdir, args.out)
     os.makedirs(out_dir, exist_ok=True)
     meta = {"command": "sample", "sampling": dataclasses.asdict(cfg),
@@ -321,11 +326,7 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     real = _read_pgm_dir(os.path.join(args.workdir, args.real))
     fake = _read_pgm_dir(os.path.join(args.workdir, args.fake))
-    if real.shape[1:] != fake.shape[1:]:
-        raise ConfigError("real and fake image sizes differ")
     embedder = mx.FeatureEmbedder.from_checkpoint(os.path.join(args.workdir, args.embedder))
-    if real.shape[1] != embedder.model.config.resolution:
-        raise ConfigError("image size does not match the embedder's resolution")
     report = mx.evaluate(real, fake, embedder, median_time_s=args.time,
                          model=args.model, seed=args.seed)
     csv_path = os.path.join(args.workdir, args.out)

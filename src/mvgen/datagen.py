@@ -316,15 +316,6 @@ def foreground_filter(raw: RawSlice) -> RawSlice | None:
     return RawSlice(intensities=raw.intensities, mask=new_mask, modality=raw.modality)
 
 
-def resize_canonical(values: np.ndarray, resolution: int) -> np.ndarray:
-    """Bilinear resize of intensities to resolution x resolution."""
-    if resolution < 1:
-        raise ContractError("canonical resolution must be positive")
-    if values.shape[0] < 1 or values.shape[1] < 1:
-        raise ContractError("source extents must be at least 1")
-    return resize_bilinear(np.asarray(values, dtype=np.float64), resolution, resolution).values
-
-
 def preprocess(raw: RawSlice, resolution: int) -> np.ndarray | None:
     """foreground filter -> modality normalization -> canonical resize."""
     kept = foreground_filter(raw)
@@ -334,7 +325,8 @@ def preprocess(raw: RawSlice, resolution: int) -> np.ndarray | None:
         values = ct_window(kept)
     else:
         values = mri_percentile_clip(kept)
-    return np.clip(resize_canonical(values, resolution), 0.0, 1.0)
+    canonical = resize_bilinear(np.asarray(values, dtype=np.float64), resolution, resolution)
+    return np.clip(canonical.values, 0.0, 1.0)
 
 
 # -- corpus -------------------------------------------------------------------

@@ -206,6 +206,11 @@ def evaluate(real: np.ndarray, fake: np.ndarray, embedder: FeatureEmbedder,
     """Embed both sets, fit Gaussians, compute FID / KID / efficiency."""
     if real.shape[0] == 0 or fake.shape[0] == 0:
         raise ContractError("evaluate needs non-empty real and fake sets")
+    if real.shape[1:] != fake.shape[1:]:
+        raise ContractError("real and fake image sizes differ")
+    resolution = embedder.model.config.resolution
+    if real.shape[1:] != (resolution, resolution):
+        raise ContractError("image size does not match the embedder's resolution")
     feats_real = embedder.embed(real)
     feats_fake = embedder.embed(fake)
     fid = frechet_distance(GaussianStats.from_features(feats_real),

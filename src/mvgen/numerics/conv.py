@@ -64,18 +64,15 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 1) -> Tensor:
     return _make(out, (x, weight, bias), backward, "conv2d")
 
 
-def conv_transpose2d(x, weight, bias, stride: int = 2, padding: int = 1,
-                     output_padding: int = 1) -> Tensor:
-    """weight (Cin, Cout, kh, kw); output H = (H-1)*stride - 2*padding + kh + output_padding."""
+def conv_transpose2d(x, weight, bias, stride: int = 2, padding: int = 1) -> Tensor:
+    """weight (Cin, Cout, kh, kw); output H = (H-1)*stride - 2*padding + kh."""
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     b, cin, hi, wi = x.values.shape
     cin_w, cout, kh, kw = weight.values.shape
     if cin != cin_w:
         raise ContractError(f"conv_transpose2d channel mismatch: input {cin}, weight {cin_w}")
-    if output_padding >= stride:
-        raise ContractError("output_padding must be smaller than stride")
-    ho = (hi - 1) * stride - 2 * padding + kh + output_padding
-    wo = (wi - 1) * stride - 2 * padding + kw + output_padding
+    ho = (hi - 1) * stride - 2 * padding + kh
+    wo = (wi - 1) * stride - 2 * padding + kw
     w_mat = weight.values.reshape(cin, cout * kh * kw)
     x_mat = x.values.reshape(b, cin, hi * wi)
     cols = np.matmul(w_mat.T, x_mat)
@@ -83,7 +80,6 @@ def conv_transpose2d(x, weight, bias, stride: int = 2, padding: int = 1,
     out = out + bias.values[None, :, None, None]
 
     def backward(g):
-        # sliding windows of g line back up with the input grid (output_padding < stride)
         g_cols, _, _ = _im2col(g, kh, kw, stride, padding)
         x._accum(np.matmul(w_mat, g_cols).reshape(b, cin, hi, wi))
         x2 = np.ascontiguousarray(x_mat.transpose(1, 0, 2)).reshape(cin, -1)

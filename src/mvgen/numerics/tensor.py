@@ -16,8 +16,9 @@ array with other nodes; a second contribution makes a new array. No
 backward writes into the gradient `g` it is given.
 
 `linear(x, w, b)` is `x @ w + b` for a 2-D weight as one node, with the
-bits of the two ops; `gelu` computes its derivative in the forward pass
-when a gradient is needed.
+bits of the 2-D product plus the bias; `matmul` is the batched product of
+activations, such as attention's. `gelu` computes its derivative in the
+forward pass when a gradient is needed.
 """
 
 from __future__ import annotations
@@ -192,16 +193,10 @@ class Tensor:
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return mul(self, 1.0 / float(other))
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -219,7 +214,7 @@ class Tensor:
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
 
     def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
+        return transpose(self, axes)
 
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis, keepdims)
@@ -391,13 +386,10 @@ def reshape(a, shape) -> Tensor:
     return _make(out, (a,), backward, "reshape")
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
     out = np.transpose(a.values, axes)
-    if axes is None:
-        inverse = None
-    else:
-        inverse = tuple(np.argsort(axes))
+    inverse = tuple(np.argsort(axes))
 
     def backward(g):
         a._accum(np.transpose(g, inverse))
@@ -484,37 +476,26 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """a @ b batched over leading axes, as attention's; `linear` takes 2-D weights."""
     a, b = as_tensor(a), as_tensor(b)
     av, bv = a.values, b.values
     if av.ndim < 2 or bv.ndim < 2:
         raise ContractError("matmul requires operands with at least 2 dimensions")
-    # collapse leading dims to a single BLAS call when the rhs is a plain matrix
-    if bv.ndim == 2 and av.ndim > 2:
-        out = (av.reshape(-1, av.shape[-1]) @ bv).reshape(av.shape[:-1] + (bv.shape[-1],))
-    else:
-        out = av @ bv
+    out = av @ bv
 
     def backward(g):
         if a.requires_grad:
-            if bv.ndim == 2:
-                g2 = g.reshape(-1, g.shape[-1])
-                a._accum((g2 @ bv.T).reshape(av.shape))
-            else:
-                a._accum(g @ np.swapaxes(bv, -1, -2))
+            a._accum(g @ np.swapaxes(bv, -1, -2))
         if b.requires_grad:
-            if bv.ndim == 2 and av.ndim >= 2:
-                a2 = av.reshape(-1, av.shape[-1])
-                g2 = g.reshape(-1, g.shape[-1])
-                b._accum(a2.T @ g2)
-            else:
-                b._accum(np.swapaxes(av, -1, -2) @ g)
+            b._accum(np.swapaxes(av, -1, -2) @ g)
 
     return _make(out, (a, b), backward, "matmul")
 
 
 def linear(x, w, b) -> Tensor:
-    """x @ w + b for a 2-D weight as one node: the bias is added in place and
-    its gradient reduced as `add` reduces it, so the bits equal the two ops'."""
+    """x @ w + b for a 2-D weight as one node, with the bits of the 2-D product
+    over x's collapsed leading axes plus the bias, added in place; the bias
+    gradient is reduced by `_unbroadcast`, as `add` reduces it."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xv, wv = x.values, w.values
     if xv.ndim < 2 or wv.ndim != 2:

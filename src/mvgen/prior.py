@@ -195,10 +195,9 @@ class PriorModel:
 
         pieces = []
         if first == 0:
-            cond_rows = take(self.params["cond_emb"], labels)  # (B, W)
             n1 = self.schedule.sizes[0]
-            pieces.append(cond_rows.reshape(b, 1, cfg.width) *
-                          as_tensor(np.ones((1, n1 * n1, 1), dtype=dtype)))
+            start = np.repeat(labels[:, None], n1 * n1, axis=1)
+            pieces.append(take(self.params["cond_emb"], start))  # (B, n1^2, W)
         n_latent = self.schedule.latent_size
         acc = (np.zeros((b, cfg.code_dim, n_latent, n_latent), dtype=dtype)
                if cache.acc is None else cache.acc)

@@ -256,7 +256,7 @@ class TokenizerModel:
         stages = self.config.num_stages
         for i in range(stages):
             h = conv_transpose2d(h, self.params[f"dec{i}.w"], self.params[f"dec{i}.b"],
-                                 stride=2, padding=1, output_padding=0)
+                                 stride=2, padding=1)
             if i < stages - 1:
                 h = relu(h)
         return h

@@ -470,17 +470,22 @@ def test_path_of_the_wrong_kind_exits_2(workdir, tmp_path, argv, needle):
     (("train", "tokenizer"), {"seed": 2**127}, f"rng key part {2**127} lies outside"),
     (("train", "prior"), {"model_seed": -2**127 - 1}, f"rng key part {-2**127 - 1} lies outside"),
     (("sample", "--seed", str(2**127)), None, f"rng key part {2**127} lies outside"),
+    (("sample", "--seed", str(2**127 - 1), "--count", "2"), None,
+     f"rng key part {2**127} lies outside"),
+    (("sample", "--top-k", "17"), None, "top_k exceeds the vocabulary size"),
 ])
 def test_out_of_range_or_non_finite_value_exits_2(workdir, tmp_path, argv, config, needle):
     """Runs in tmp_path on workdir's corpus and checkpoints, so nothing is
-    written into workdir even where a value is let through."""
+    written into workdir even where a value is let through. A rejected sample
+    run leaves no output directory."""
     base = {"datagen": dict(SMALL_CORPUS, per_label=2),
             "tokenizer": dict(SMALL_TOKENIZER, corpus_dir=str(workdir / "corpus")),
             "prior": dict(SMALL_PRIOR, corpus_dir=str(workdir / "corpus"),
                           tokenizer_checkpoint=str(workdir / "tokenizer.mvckpt"))}
     if argv[0] == "sample":
-        out = run_cli(*argv, "--workdir", str(workdir), "--label", "ring_with_core",
-                      "--count", "1", "--out", str(tmp_path / "samples"))
+        out = run_cli("sample", "--workdir", str(workdir), "--label", "ring_with_core",
+                      "--count", "1", "--out", str(tmp_path / "samples"), *argv[1:])
+        assert not (tmp_path / "samples").exists()
     else:
         cfg = base[argv[-1]]
         for key, value in config.items():
@@ -616,6 +621,14 @@ class TestEval:
         assert out.returncode == 2
         assert "mixed" in out.stderr.lower() or "sizes" in out.stderr
 
+    def test_images_of_another_size_than_the_embedder_exit_2(self, workdir, tmp_path):
+        for name in ("a.pgm", "b.pgm"):
+            pgmio.write_pgm(tmp_path / name, np.zeros((32, 32)))
+        out = run_cli("eval", "--workdir", str(workdir), "--real", str(tmp_path),
+                      "--fake", str(tmp_path), "--embedder", "tokenizer.mvckpt", "--out", "m3.csv")
+        assert_rejected(out, "image size does not match the embedder's resolution")
+        assert not (workdir / "m3.csv").exists()
+
     @pytest.mark.parametrize("time", ["nan", "inf", "-0.5"])
     def test_time_not_finite_and_non_negative_exits_2_appending_nothing(self, workdir, time):
         out = run_cli("eval", "--workdir", str(workdir), "--real", "corpus/images/parallel_bands",
@@ -657,6 +670,13 @@ class TestBench:
                       "--real", "corpus/images/lattice_of_blobs")
         assert out.returncode == 0, out.stderr
         assert "forward passes per image: 4" in out.stdout  # 2K for K=2
+
+    def test_measure_rejects_real_images_of_another_size(self, workdir, tmp_path):
+        for name in ("a.pgm", "b.pgm"):
+            pgmio.write_pgm(tmp_path / name, np.zeros((32, 32)))
+        out = run_cli("bench", "measure", "--workdir", str(workdir),
+                      "--label", "lattice_of_blobs", "--count", "2", "--real", str(tmp_path))
+        assert_rejected(out, "real and fake image sizes differ")
 
 
 class TestInspectCodebook:

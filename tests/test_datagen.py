@@ -194,24 +194,12 @@ class TestForegroundFilter:
 
 
 class TestResizeCanonical:
-    def test_constant_preserved(self):
-        out = dg.resize_canonical(np.full((7, 5), 0.3), 16)
-        assert np.allclose(out, 0.3)
-
-    def test_two_by_two_average(self):
-        out = dg.resize_canonical(np.array([[0.0, 0.0], [1.0, 1.0]]), 1)
-        assert out[0, 0] == pytest.approx(0.5)
-
     def test_zero_resolution_rejected(self):
-        with pytest.raises(ContractError):
-            dg.resize_canonical(np.ones((4, 4)), 0)
-
-    def test_range_never_exceeds_input(self):
-        rng = np.random.default_rng(2)
-        data = rng.uniform(0.2, 0.8, (11, 13))
-        out = dg.resize_canonical(data, 32)
-        assert out.min() >= data.min() - 1e-12
-        assert out.max() <= data.max() + 1e-12
+        label, family = dg.default_labels()[0]
+        raw = dg.make_phantom(dg.PhantomSpec(label, family, 1.0, 7), 0)
+        assert dg.preprocess(raw, 4).shape == (4, 4)
+        with pytest.raises(ContractError, match="at least 1x1"):
+            dg.preprocess(raw, 0)
 
 
 @pytest.fixture(scope="module")

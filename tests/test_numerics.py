@@ -132,31 +132,37 @@ def test_batched_matmul_broadcast_gradients():
     rng = np.random.default_rng(4)
     a_val = rng.normal(size=(2, 3, 4))
     w_val = rng.normal(size=(4, 5))
+    probe = nx.Tensor(rng.normal(size=(2, 3, 5)))
 
-    def build(w):
-        return (nx.Tensor(a_val) @ w).sum()
+    def build(a, w):
+        return ((a @ w) * probe).sum()
 
+    a = nx.Tensor(a_val.copy(), requires_grad=True)
     w = nx.Tensor(w_val.copy(), requires_grad=True)
-    build(w).backward()
-    fd = finite_diff(lambda v: build(nx.Tensor(v)).item(), w_val.copy())
-    assert rel_err(w.grad, fd) < 1e-6
+    build(a, w).backward()
+    fd_a = finite_diff(lambda v: build(nx.Tensor(v), nx.Tensor(w_val)).item(), a_val.copy())
+    fd_w = finite_diff(lambda v: build(nx.Tensor(a_val), nx.Tensor(v)).item(), w_val.copy())
+    assert rel_err(a.grad, fd_a) < 1e-6
+    assert rel_err(w.grad, fd_w) < 1e-6
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("x_shape", [(5, 4), (2, 5, 4)])
 def test_linear_equals_matmul_then_add_bit_for_bit(x_shape, dtype):
+    """linear has the bits of the 2-D products over x's collapsed leading axes
+    plus the bias, whose gradient _unbroadcast reduces."""
     rng = np.random.default_rng(13)
-    values = [rng.normal(size=shape).astype(dtype) for shape in (x_shape, (4, 3), (3,))]
-    probe = nx.Tensor(rng.normal(size=x_shape[:-1] + (3,)).astype(dtype))
-
-    def run(op):
-        x, w, b = (nx.Tensor(v.copy(), requires_grad=True) for v in values)
-        out = op(x, w, b)
-        (out * probe).sum().backward()
-        return [t.tobytes() for t in (out.values, x.grad, w.grad, b.grad)]
-
-    fused = run(nx.linear)
-    assert fused == run(lambda x, w, b: nx.add(nx.matmul(x, w), b))
+    x_val, w_val, b_val = (rng.normal(size=shape).astype(dtype)
+                           for shape in (x_shape, (4, 3), (3,)))
+    g = rng.normal(size=x_shape[:-1] + (3,)).astype(dtype)
+    x, w, b = (nx.Tensor(v.copy(), requires_grad=True) for v in (x_val, w_val, b_val))
+    out = nx.linear(x, w, b)
+    (out * nx.Tensor(g)).sum().backward()
+    x2, g2 = x_val.reshape(-1, 4), g.reshape(-1, 3)
+    assert out.values.tobytes() == ((x2 @ w_val).reshape(g.shape) + b_val).tobytes()
+    assert x.grad.tobytes() == (g2 @ w_val.T).reshape(x_shape).tobytes()
+    assert w.grad.tobytes() == (x2.T @ g2).tobytes()
+    assert b.grad.tobytes() == _unbroadcast(g, (3,)).tobytes()
 
 
 def test_gelu_gradient_has_the_unfused_bits_and_no_grad_builds_no_derivative():
@@ -251,17 +257,18 @@ class TestConvOps:
         assert rel_err(b.grad, fd_b) < 1e-6
 
     def test_conv_transpose2d_shape_and_gradients(self):
+        # the decoder's 4x4 kernel at stride 2 doubles the grid
         rng = np.random.default_rng(8)
         x_val = rng.normal(size=(1, 2, 3, 3))
-        w_val = rng.normal(size=(2, 3, 3, 3)) * 0.5
+        w_val = rng.normal(size=(2, 3, 4, 4)) * 0.5
         b_val = rng.normal(size=(3,))
         out = nx.conv_transpose2d(nx.Tensor(x_val), nx.Tensor(w_val), nx.Tensor(b_val),
-                                  stride=2, padding=1, output_padding=1)
+                                  stride=2, padding=1)
         assert out.shape == (1, 3, 6, 6)
         probe = rng.normal(size=out.shape)
 
         def build(x, w, b):
-            t = nx.conv_transpose2d(x, w, b, stride=2, padding=1, output_padding=1)
+            t = nx.conv_transpose2d(x, w, b, stride=2, padding=1)
             return (t * nx.Tensor(probe)).sum()
 
         x = nx.Tensor(x_val.copy(), requires_grad=True)
@@ -277,13 +284,13 @@ class TestConvOps:
         # <conv(x), y> == <x, conv_T(y)> with shared weights and zero bias
         rng = np.random.default_rng(9)
         x = rng.normal(size=(1, 2, 8, 8))
-        w = rng.normal(size=(3, 2, 3, 3))
+        w = rng.normal(size=(3, 2, 4, 4))
         y = rng.normal(size=(1, 3, 4, 4))
         zeros3 = np.zeros(3)
         zeros2 = np.zeros(2)
         cx = nx.conv2d(nx.Tensor(x), nx.Tensor(w), nx.Tensor(zeros3), stride=2, padding=1).values
         cty = nx.conv_transpose2d(nx.Tensor(y), nx.Tensor(w),
-                                  nx.Tensor(zeros2), stride=2, padding=1, output_padding=1).values
+                                  nx.Tensor(zeros2), stride=2, padding=1).values
         assert (cx * y).sum() == pytest.approx((x * cty).sum(), rel=1e-10)
 
     def test_resize_identity_and_average(self):
@@ -292,6 +299,8 @@ class TestConvOps:
         assert same.values is grid.values
         down = nx.resize_bilinear(grid, 1, 1)
         assert down.values[0, 0] == pytest.approx(0.5)
+        with pytest.raises(nx.ContractError, match="at least 1x1"):
+            nx.resize_bilinear(grid, 0, 2)
 
     def test_resize_preserves_constants_and_range(self):
         rng = np.random.default_rng(11)
