@@ -234,7 +234,7 @@ def _train_tokenizer(args, data: dict) -> int:
     def fit(step, chunk):
         return tok.train_tokenizer(corpus.values["train"], model, cfg.optimizer, steps=chunk,
                                    batch_size=cfg.batch_size, seed=cfg.seed, start_step=step,
-                                   warm_start=(step == 0), log_every=1)
+                                   log_every=1)
 
     extra = {"labels": {str(k): v for k, v in corpus.label_names.items()}}
     return _train(args, cfg, model, start_step, fit, tok.save_tokenizer, extra)

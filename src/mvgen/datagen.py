@@ -49,9 +49,10 @@ FAMILY_MODALITY = {
 # mask components smaller than this share of the slice are dropped
 MIN_AREA_FRACTION = 0.001
 
-# soft-tissue window defaults
+# the soft-tissue CT window, in HU
 CT_WINDOW_LEVEL = 40.0
 CT_WINDOW_WIDTH = 400.0
+MRI_CLIP_FRACTION = 0.005  # share of the non-zero MRI intensities clipped at each end
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,6 +71,8 @@ class PhantomSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ContractError(f"unknown geometry family '{self.family}'")
+        if self.noise_level < 0:
+            raise ContractError("noise_level must be non-negative")
 
     @property
     def modality(self) -> str:
@@ -209,31 +212,26 @@ def make_phantom(spec: PhantomSpec, seed: int) -> RawSlice:
 # -- modality normalization ---------------------------------------------------
 
 
-def ct_window(raw: RawSlice, level: float = CT_WINDOW_LEVEL,
-              width: float = CT_WINDOW_WIDTH) -> np.ndarray:
-    """Map HU through a fixed window to [0, 1]: clamp((v - (level - width/2)) / width)."""
+def ct_window(raw: RawSlice) -> np.ndarray:
+    """Map HU through the fixed window to [0, 1]: clamp((v - (level - width/2)) / width)."""
     if raw.modality != CT:
         raise ContractError("ct_window requires a CT slice")
-    if width <= 0:
-        raise ContractError("window width must be positive")
-    lo = level - width / 2.0
-    return np.clip((raw.intensities - lo) / width, 0.0, 1.0)
+    lo = CT_WINDOW_LEVEL - CT_WINDOW_WIDTH / 2.0
+    return np.clip((raw.intensities - lo) / CT_WINDOW_WIDTH, 0.0, 1.0)
 
 
-def mri_percentile_clip(raw: RawSlice, fraction: float = 0.005) -> np.ndarray:
+def mri_percentile_clip(raw: RawSlice) -> np.ndarray:
     """Clip to percentile bounds of the non-zero intensities, then map to [0, 1].
 
-    Bounds drop the lowest/highest floor(fraction * n) order statistics of the
-    sorted non-zero values; zero pixels always map to 0.
+    Bounds drop the lowest/highest floor(MRI_CLIP_FRACTION * n) order
+    statistics of the sorted non-zero values; zero pixels always map to 0.
     """
     if raw.modality != MRI:
         raise ContractError("mri_percentile_clip requires an MRI slice")
-    if not 0.0 <= fraction < 0.5:
-        raise ContractError("fraction must lie in [0, 0.5)")
     nonzero = np.sort(raw.intensities[raw.intensities > 0])
     if nonzero.size == 0:
         raise DegenerateInputError("all-zero MRI slice")
-    k = int(np.floor(fraction * nonzero.size))
+    k = int(np.floor(MRI_CLIP_FRACTION * nonzero.size))
     p_low, p_high = nonzero[k], nonzero[nonzero.size - 1 - k]
     out = np.zeros_like(raw.intensities, dtype=np.float64)
     fg = raw.intensities > 0
@@ -317,7 +315,10 @@ def foreground_filter(raw: RawSlice) -> RawSlice | None:
 
 
 def preprocess(raw: RawSlice, resolution: int) -> np.ndarray | None:
-    """foreground filter -> modality normalization -> canonical resize."""
+    """foreground filter -> modality normalization -> canonical resize.
+
+    Today the filter only accepts or rejects the slice: the mask it keeps does
+    not reach the image, so normalization reads every pixel."""
     kept = foreground_filter(raw)
     if kept is None:
         return None

@@ -28,7 +28,6 @@ from .tensor import (
     relu,
     reshape,
     softmax,
-    stop_gradient,
     take,
     take_along_last,
     tanh,

@@ -2,7 +2,8 @@
 
 All spatial ops use channels-first layout (B, C, H, W). Convolutions run as
 im2col matmuls; the transposed convolution reuses the scatter (col2im) path,
-which is also the exact gradient of the forward convolution. Bilinear
+which is also the exact gradient of the forward convolution. Both take their
+kernel gradient from one product over the whole batch (`_kernel_grad`). Bilinear
 resampling uses area-aligned sample positions (pixel centers at (i + 0.5)/N),
 so a 2x2 -> 1x1 resize averages all four pixels and every output is a convex
 combination of inputs.
@@ -41,6 +42,13 @@ def _col2im(cols: np.ndarray, b: int, c: int, h: int, w: int,
     return canvas
 
 
+def _kernel_grad(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum_i a[i] @ cols[i].T as one product: the weight gradient of both convolutions."""
+    a2 = np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], -1)
+    c2 = np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(cols.shape[1], -1)
+    return a2 @ c2.T
+
+
 def conv2d(x, weight, bias, stride: int = 1, padding: int = 1) -> Tensor:
     """weight (Cout, Cin, kh, kw), bias (Cout,)."""
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
@@ -54,9 +62,7 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 1) -> Tensor:
 
     def backward(g):
         g_mat = g.reshape(b, cout, ho * wo)
-        g2 = np.ascontiguousarray(g_mat.transpose(1, 0, 2)).reshape(cout, -1)
-        c2 = np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(w_mat.shape[1], -1)
-        weight._accum((g2 @ c2.T).reshape(weight.values.shape))
+        weight._accum(_kernel_grad(g_mat, cols).reshape(weight.values.shape))
         bias._accum(g.sum(axis=(0, 2, 3)))
         dcols = np.matmul(w_mat.T, g_mat)
         x._accum(_col2im(dcols, b, cin, h, w, kh, kw, stride, padding, ho, wo))
@@ -82,9 +88,7 @@ def conv_transpose2d(x, weight, bias, stride: int = 2, padding: int = 1) -> Tens
     def backward(g):
         g_cols, _, _ = _im2col(g, kh, kw, stride, padding)
         x._accum(np.matmul(w_mat, g_cols).reshape(b, cin, hi, wi))
-        x2 = np.ascontiguousarray(x_mat.transpose(1, 0, 2)).reshape(cin, -1)
-        gc2 = np.ascontiguousarray(g_cols.transpose(1, 0, 2)).reshape(w_mat.shape[1], -1)
-        weight._accum((x2 @ gc2.T).reshape(weight.values.shape))
+        weight._accum(_kernel_grad(x_mat, g_cols).reshape(weight.values.shape))
         bias._accum(g.sum(axis=(0, 2, 3)))
 
     return _make(out, (x, weight, bias), backward, "conv_transpose2d")

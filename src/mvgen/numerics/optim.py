@@ -31,8 +31,13 @@ class OptimizerConfig:
             raise ContractError("warmup_steps must not exceed total_steps")
         if self.grad_clip_norm <= 0:
             raise ContractError("grad_clip_norm must be positive")
+        if self.eps <= 0:
+            raise ContractError("eps must be positive")
         if self.min_lr is None:
             object.__setattr__(self, "min_lr", self.peak_lr / 100.0)
+        for name in ("weight_decay", "warmup_steps", "peak_lr", "min_lr"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name} must be non-negative")
 
     def scaled_for_batch(self, batch_size: int) -> "OptimizerConfig":
         """Scale peak (and floor) learning rate linearly with batch_size / 32."""

@@ -123,10 +123,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    @property
-    def dtype(self):
-        return self.values.dtype
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
@@ -276,8 +272,6 @@ def _fast_pow(x: np.ndarray, p: float) -> np.ndarray:
         return x.copy()
     if p == 2.0:
         return x * x
-    if p == 3.0:
-        return x * x * x
     return x ** p
 
 
@@ -366,10 +360,6 @@ def gelu(a) -> Tensor:
         a._accum(g * da)
 
     return _make(out, (a,), backward, "gelu")
-
-
-def stop_gradient(a) -> Tensor:
-    return Tensor(as_tensor(a).values, _op="stop_gradient")
 
 
 # -- shape ops -------------------------------------------------------------

@@ -165,10 +165,6 @@ class PriorModel:
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
     # -- forward ---------------------------------------------------------
 
     def embed_inputs(self, prefix_grids: Sequence[np.ndarray], labels: np.ndarray,

@@ -36,7 +36,6 @@ from .numerics import (
     no_grad,
     relu,
     resize_bilinear,
-    stop_gradient,
     train_loop,
 )
 from .rng import rng_for
@@ -167,6 +166,8 @@ class TokenizerConfig(ModelConfig):
             raise ContractError("embed_dim must be positive")
         if not 0.0 <= self.ema_decay <= 1.0:
             raise ContractError("ema_decay must lie in [0, 1]")
+        if self.beta_commit < 0:
+            raise ContractError("beta_commit must be non-negative")
         latent = self.scale_schedule.latent_size
         factor = self.resolution / latent
         stages = math.log2(factor) if factor >= 2 else -1
@@ -300,10 +301,10 @@ def _walk(model: TokenizerModel, images: np.ndarray,
     scale (fk, indices, codes, refinement, residual after the subtraction)).
 
     Scale k quantizes fk, the running residual aligned down to n_k, to codes
-    zq and subtracts the refinement phi_k(up(st)), st = fk + sg(zq - fk).
-    grids[k] replaces the quantizer's choice and offsets[k] sg(zq - fk).
-    Training runs it with gradients; encoding runs it under no_grad, so both
-    quantize the same values.
+    zq and subtracts the refinement phi_k(up(st)), st = fk + sg(zq - fk), the
+    offset sg(zq - fk) a constant array; grids[k] replaces the quantizer's
+    choice and offsets[k] that offset. Training runs it with gradients;
+    encoding runs it under no_grad, so both quantize the same values.
     """
     dtype = model.config.np_dtype()
     emb = model.codebook.embeddings
@@ -315,7 +316,7 @@ def _walk(model: TokenizerModel, images: np.ndarray,
         fk = resize_bilinear(f, n, n)
         idx = _quantize_grid(fk.values, emb) if grids is None else np.asarray(grids[k])
         zq = _lookup(idx, emb).astype(dtype)
-        offset = stop_gradient(as_tensor(zq) - fk) if offsets is None else as_tensor(offsets[k])
+        offset = as_tensor(zq - fk.values if offsets is None else offsets[k])
         refinement = model.phi(k, resize_bilinear(fk + offset, n_latent, n_latent))
         f = f - refinement
         scales.append((fk, idx, zq, refinement, f))
@@ -336,19 +337,15 @@ def encode(x: np.ndarray, model: TokenizerModel) -> TokenPyramid:
     return TokenPyramid(tuple(g[0] for g in grids))
 
 
-def decode_batch(model: TokenizerModel, grids: Sequence[np.ndarray],
-                 upto_scale: int | None = None) -> np.ndarray:
-    """Per-scale index grids -> images (B, R, R) clamped to [0, 1].
-
-    upto_scale reconstructs from the first k scales only (1-based count).
-    """
-    k_max = len(grids) if upto_scale is None else upto_scale
+def decode_batch(model: TokenizerModel, grids: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-scale index grids -> images (B, R, R) clamped to [0, 1]; the first
+    k grids alone reconstruct from the first k scales."""
     n_latent = model.schedule.latent_size
     b = grids[0].shape[0]
     with no_grad():
         f = np.zeros((b, model.config.embed_dim, n_latent, n_latent), dtype=model.config.np_dtype())
-        for k in range(k_max):
-            idx = np.asarray(grids[k])
+        for k, idx in enumerate(grids):
+            idx = np.asarray(idx)
             if idx.size and idx.max() >= model.codebook.vocab_size:
                 raise ContractError("token index out of codebook range")
             zq = _lookup(idx, model.codebook.embeddings).astype(f.dtype)
@@ -427,17 +424,8 @@ def training_graph(model: TokenizerModel, batch: np.ndarray,
     latent, scales = _walk(model, batch, frozen_grids, offsets)
     # the walk term's residual starts from sg(f)
     residual = as_tensor(latent.values if anchors is None else anchors[0].latent)
-    counts = np.zeros(v, dtype=np.float64)
-    sums = np.zeros((v, c), dtype=np.float64)
-    pool = []
     recon_feat = commit = walk = None
-    for k, (fk, idx, zq, refinement, _) in enumerate(scales):
-        flat_idx = idx.reshape(-1)
-        flat_feat = fk.values.transpose(0, 2, 3, 1).reshape(-1, c)
-        counts += np.bincount(flat_idx, minlength=v)
-        np.add.at(sums, flat_idx, flat_feat.astype(np.float64))
-        pool.append(flat_feat)
-
+    for k, (fk, _, zq, refinement, _) in enumerate(scales):
         term = ((fk - as_tensor(zq)) ** 2.0).mean()
         commit = term if commit is None else commit + term
         recon_feat = refinement if recon_feat is None else recon_feat + refinement
@@ -448,7 +436,12 @@ def training_graph(model: TokenizerModel, batch: np.ndarray,
     x_hat = model.decoder_forward(recon_feat)
     recon = ((x_hat - as_tensor(batch[:, None, :, :].astype(cfg.np_dtype()))) ** 2.0).mean()
     loss = recon + cfg.beta_commit * commit + walk * (WALK_WEIGHT / model.schedule.num_scales)
-    pooled = np.concatenate(pool, axis=0)
+    # EMA statistics over every scale's cells, coarse to fine
+    flat_idx = np.concatenate([idx.reshape(-1) for _, idx, *_ in scales])
+    pooled = np.concatenate([fk.values.transpose(0, 2, 3, 1).reshape(-1, c) for fk, *_ in scales])
+    sums = np.zeros((v, c), dtype=np.float64)
+    np.add.at(sums, flat_idx, pooled.astype(np.float64))
+    counts = np.bincount(flat_idx, minlength=v).astype(np.float64)
     return loss, _StepStats(counts=counts, sums=sums, feature_pool=pooled)
 
 
@@ -524,10 +517,10 @@ def residual_energies(model: TokenizerModel, images: np.ndarray) -> list[float]:
 
 
 def _squared_errors(model: TokenizerModel, images: np.ndarray, upto_scale: int | None = None):
-    """(recon - image)^2 for each chunk of images, encoded and decoded."""
+    """(recon - image)^2 per chunk of images, decoded from the first upto_scale scales."""
     for lo in range(0, images.shape[0], EVAL_CHUNK):
         part = images[lo:lo + EVAL_CHUNK]
-        yield (decode_batch(model, encode_batch(model, part), upto_scale=upto_scale) - part) ** 2
+        yield (decode_batch(model, encode_batch(model, part)[:upto_scale]) - part) ** 2
 
 
 def reconstruction_mse(model: TokenizerModel, images: np.ndarray,

@@ -7,7 +7,8 @@ in-process on tests/test_cli.py's SMALL configs, in a temporary workdir, once
 in float32 and once in float64, all under the stdlib `trace` module's line
 counts. Prints to stdout `sha256  relative/path` for every file in the
 workdir (the config files it writes and every file the commands write), and
-to stderr each src/ statement that no command executed, grouped by function:
+to stderr each src/ statement that no command executed, grouped by function,
+and last `src/ lines: N`, the newline count of every .py file under src/:
 
     OPENBLAS_NUM_THREADS=1 python tests/cli_traffic.py > files.txt 2> unrun.txt
 
@@ -139,12 +140,22 @@ def unrun_report(counts: dict) -> list[str]:
     return report
 
 
+def src_lines() -> int:
+    total = 0
+    for dirpath, _, names in os.walk(SRC):
+        for name in (n for n in names if n.endswith(".py")):
+            with open(os.path.join(dirpath, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
+
+
 def main() -> None:
     tracer = trace.Trace(count=1, trace=0)
     with tempfile.TemporaryDirectory() as root:
         tracer.runfunc(run_commands, root)
         print("\n".join(file_digests(root)))
     print("\n".join(unrun_report(tracer.results().counts)), file=sys.stderr)
+    print(f"src/ lines: {src_lines()}", file=sys.stderr)
 
 
 if __name__ == "__main__":

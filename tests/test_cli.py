@@ -473,6 +473,15 @@ def test_path_of_the_wrong_kind_exits_2(workdir, tmp_path, argv, needle):
     (("sample", "--seed", str(2**127 - 1), "--count", "2"), None,
      f"rng key part {2**127} lies outside"),
     (("sample", "--top-k", "17"), None, "top_k exceeds the vocabulary size"),
+    (("datagen",), {"noise_level": -3}, "noise_level must be non-negative"),
+    (("train", "tokenizer"), {"beta_commit": -5}, "beta_commit must be non-negative"),
+    (("train", "tokenizer"), {"optimizer": {"weight_decay": -2}},
+     "weight_decay must be non-negative"),
+    (("train", "tokenizer"), {"optimizer": {"warmup_steps": -5}},
+     "warmup_steps must be non-negative"),
+    (("train", "tokenizer"), {"optimizer": {"eps": 0}}, "eps must be positive"),
+    (("train", "prior"), {"optimizer": {"peak_lr": -1}}, "peak_lr must be non-negative"),
+    (("train", "prior"), {"optimizer": {"min_lr": -1e-4}}, "min_lr must be non-negative"),
 ])
 def test_out_of_range_or_non_finite_value_exits_2(workdir, tmp_path, argv, config, needle):
     """Runs in tmp_path on workdir's corpus and checkpoints, so nothing is

@@ -73,7 +73,7 @@ class TestMakePhantom:
 class TestCtWindow:
     def test_window_edges_center_and_clamp(self):
         raw = ct_raw([[-160.0, 40.0, 240.0, 500.0]])
-        out = dg.ct_window(raw, level=40, width=400)
+        out = dg.ct_window(raw)
         assert out[0, 0] == pytest.approx(0.0)
         assert out[0, 1] == pytest.approx(0.5)
         assert out[0, 2] == pytest.approx(1.0)
@@ -95,7 +95,7 @@ class TestMriPercentileClip:
     def test_nearest_rank_bounds(self):
         values = np.arange(1, 1001, dtype=np.float64).reshape(25, 40)
         raw = mri_raw(values)
-        out = dg.mri_percentile_clip(raw, 0.005)
+        out = dg.mri_percentile_clip(raw)
         # bounds [6, 995]; spot-check the mapping of 500.5 via its neighbours
         expected_500 = (500.0 - 6.0) / 989.0
         pos = np.nonzero(values == 500.0)
@@ -106,7 +106,7 @@ class TestMriPercentileClip:
     def test_interior_value_mapping(self):
         values = np.concatenate([np.arange(1, 1001), [500.5]]).reshape(7, 143)
         # 1001 values: k = floor(0.005*1001) = 5 -> bounds [6, 995] still
-        out = dg.mri_percentile_clip(mri_raw(values), 0.005)
+        out = dg.mri_percentile_clip(mri_raw(values))
         assert out.reshape(-1)[-1] == pytest.approx((500.5 - 6.0) / 989.0)
 
     def test_constant_nonzero_maps_to_zero_with_warning(self):
@@ -115,7 +115,8 @@ class TestMriPercentileClip:
         assert np.all(out == 0.0)
 
     def test_fraction_zero_is_minmax(self):
-        out = dg.mri_percentile_clip(mri_raw([[0.0, 2.0, 4.0, 6.0]]), 0.0)
+        # 3 non-zero values: floor(MRI_CLIP_FRACTION * 3) = 0 clipped at each end
+        out = dg.mri_percentile_clip(mri_raw([[0.0, 2.0, 4.0, 6.0]]))
         assert out[0, 0] == 0.0  # zero pixel stays zero
         assert out[0, 1] == pytest.approx(0.0)  # minimum of non-zeros
         assert out[0, 3] == pytest.approx(1.0)

@@ -227,13 +227,6 @@ def test_take_and_take_along_last_gradients():
     assert np.allclose(logits.grad, expected)
 
 
-def test_stop_gradient_blocks_flow():
-    x = nx.Tensor(2.0, requires_grad=True)
-    y = x + nx.stop_gradient(x * 10.0)
-    y.backward()
-    assert x.grad == pytest.approx(1.0)
-
-
 class TestConvOps:
     def test_conv2d_gradients(self):
         rng = np.random.default_rng(7)

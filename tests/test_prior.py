@@ -252,7 +252,6 @@ class TestTraining:
         rng = np.random.default_rng(4)
         grids = [rng.integers(0, 16, size=(8, n, n)) for n in (1, 2, 3)]
         labels = np.full(8, model.config.null_index)
-        model.zero_grad()
         loss = pr.batch_loss(model, grids, labels)
         loss.backward()
         grad = model.params["cond_emb"].grad
@@ -277,7 +276,6 @@ class TestTraining:
         def loss_value():
             return pr.batch_loss(model, grids, labels).item()
 
-        model.zero_grad()
         loss = pr.batch_loss(model, grids, labels)
         loss.backward()
 

@@ -11,7 +11,6 @@ from mvgen.numerics import (
     OptimizerConfig,
     Tensor,
     as_tensor,
-    stop_gradient,
 )
 
 
@@ -113,6 +112,15 @@ class TestEncodeDecode:
         looked_up = model.codebook.embeddings[pyramid.grids[0]].transpose(2, 0, 1)
         assert np.allclose(looked_up, latent[0], atol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_partial_reconstruction_decodes_the_first_k_grids(self, desk_model, k):
+        images = np.random.default_rng(10).random((70, 32, 32))
+        assert tok.EVAL_CHUNK < 70  # two evaluation chunks
+        recon = tok.decode_batch(desk_model, tok.encode_batch(desk_model, images)[:k])
+        expected = float(((recon - images) ** 2).mean())
+        got = tok.reconstruction_mse(desk_model, images, upto_scale=k)
+        assert got == pytest.approx(expected, rel=1e-12)
+
     def test_encode_rejects_wrong_resolution(self, desk_model):
         with pytest.raises(ContractError):
             tok.encode(np.zeros((16, 16)), desk_model)
@@ -155,17 +163,18 @@ class TestEncodeDecode:
 
 class TestStraightThrough:
     def test_gradient_passes_through_quantization(self):
-        # d loss(x + sg(q - x)) / dx equals the gradient with the quantizer
-        # replaced by the identity map
+        # x + sg(q - x), with the offset q - x added as a constant array as
+        # the walk adds it, is q forward and the identity map backward
         rng = np.random.default_rng(0)
         x_val = rng.normal(size=(3,))
         q_val = rng.normal(size=(3,))
         w = rng.normal(size=(3,))
 
         x = Tensor(x_val.copy(), requires_grad=True)
-        st = x + stop_gradient(as_tensor(q_val) - x)
+        st = x + as_tensor(q_val - x.values)
         (st * as_tensor(w)).sum().backward()
-        assert np.allclose(x.grad, w)
+        assert np.allclose(st.values, q_val)
+        assert np.array_equal(x.grad, w)
 
     def test_training_graph_gradients_flow_to_encoder(self, tiny_model):
         rng = np.random.default_rng(4)
@@ -189,6 +198,28 @@ class TestStraightThrough:
         finest = tiny_model.schedule.num_scales - 1
         grad = tiny_model.params[f"phi{finest}.w"].grad
         assert grad is not None and np.abs(grad).max() > 0
+
+    def test_step_statistics_match_a_per_scale_accumulation(self):
+        # counts, sums and the reseed pool are bit for bit those of adding
+        # each scale's cells in turn, coarse to fine
+        model = tok.TokenizerModel.create(tok.TokenizerConfig(dtype="float32"), seed=5)
+        batch = np.random.default_rng(12).random((8, 32, 32)).astype(np.float32)
+        _, stats = tok.training_graph(model, batch)
+        v, c = model.codebook.embeddings.shape
+        counts = np.zeros(v, dtype=np.float64)
+        sums = np.zeros((v, c), dtype=np.float64)
+        pool = []
+        with tok.no_grad():
+            scales = tok._walk(model, batch)[1]
+        for fk, idx, *_ in scales:
+            flat_idx = idx.reshape(-1)
+            flat_feat = fk.values.transpose(0, 2, 3, 1).reshape(-1, c)
+            counts += np.bincount(flat_idx, minlength=v)
+            np.add.at(sums, flat_idx, flat_feat.astype(np.float64))
+            pool.append(flat_feat)
+        pool = np.concatenate(pool, axis=0)
+        for got, want in ((stats.counts, counts), (stats.sums, sums), (stats.feature_pool, pool)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_training_quantizes_what_encode_quantizes(self, monkeypatch):
         # in float32, subtracting phi(up(st)) and phi(up(zq)) round apart, so
