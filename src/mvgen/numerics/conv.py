@@ -64,8 +64,9 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 1) -> Tensor:
         g_mat = g.reshape(b, cout, ho * wo)
         weight._accum(_kernel_grad(g_mat, cols).reshape(weight.values.shape))
         bias._accum(g.sum(axis=(0, 2, 3)))
-        dcols = np.matmul(w_mat.T, g_mat)
-        x._accum(_col2im(dcols, b, cin, h, w, kh, kw, stride, padding, ho, wo))
+        if x.requires_grad:
+            dcols = np.matmul(w_mat.T, g_mat)
+            x._accum(_col2im(dcols, b, cin, h, w, kh, kw, stride, padding, ho, wo))
 
     return _make(out, (x, weight, bias), backward, "conv2d")
 

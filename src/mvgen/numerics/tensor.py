@@ -10,10 +10,14 @@ a gradient norm, logits, an image); a boundary that fails reruns its step
 with per-op checks on, so the error names the op (`checked_at_boundaries`).
 
 Gradient ownership: a leaf (a tensor with no backward, such as a Parameter)
-owns its `.grad`, which `clip_grad_norm` scales in place. An interior node
-keeps the first gradient passed to it by reference, so it may share that
-array with other nodes; a second contribution makes a new array. No
-backward writes into the gradient `g` it is given.
+owns its `.grad`, which `clip_grad_norm` scales in place, and keeps it after
+`backward()`. An interior node keeps the first gradient passed to it by
+reference, so it may share that array with other nodes; a second
+contribution makes a new array. No backward writes into the gradient `g` it
+is given. `backward()` releases each interior node once its backward has
+run: its `.grad`, its closure (with the forward arrays it captured) and its
+edges to its parents go, and only its `.values` stay. A later `backward()`
+that reaches a released node raises ContractError.
 
 `linear(x, w, b)` is `x @ w + b` for a 2-D weight as one node, with the
 bits of the 2-D product plus the bias; `matmul` is the batched product of
@@ -151,7 +155,8 @@ class Tensor:
             self.grad = (self.grad + grad).astype(dtype, copy=False)
 
     def backward(self) -> None:
-        """Populate gradients of the scalar loss w.r.t. every reachable tensor."""
+        """Populate gradients of the scalar loss w.r.t. every reachable leaf,
+        releasing each interior node once its backward has run."""
         if self.values.size != 1:
             raise ContractError("backward() requires a scalar loss")
         if not np.isfinite(self.values).all():
@@ -173,11 +178,17 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.values)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
                 if _NAN_CHECKS and not all(_finite(p.grad) for p in node._parents
                                            if p.grad is not None):
                     raise NumericError(f"non-finite gradient produced by op '{node._op}'")
+            # nothing reads an interior gradient, closure or edge again
+            node.grad = None
+            node._backward = _released
+            node._parents = ()
 
     # -- operator sugar ---------------------------------------------------
 
@@ -217,6 +228,10 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return reduce_mean(self, axis, keepdims)
+
+
+def _released(g) -> None:
+    raise ContractError("backward() reached a node an earlier backward() has released")
 
 
 def as_tensor(x, dtype=None) -> Tensor:

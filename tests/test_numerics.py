@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,18 +196,65 @@ def test_leaves_fed_by_one_add_own_their_gradients_through_clipping():
     assert np.array_equal(a.grad, probe * scale) and np.array_equal(b.grad, probe * scale)
 
 
+def _recording(node, received):
+    """node, with its backward wrapped to keep each gradient it is given, by
+    reference: backward() releases interior gradients once they are used."""
+    inner = node._backward
+
+    def backward(g):
+        received.append(g)
+        inner(g)
+
+    node._backward = backward
+    return node
+
+
 def test_interior_fanout_accumulates_without_changing_its_consumers_gradient():
     probe = np.array([1.0, -2.0, 0.5])
     x = nx.Tensor(np.array([0.3, 0.1, -0.7]), requires_grad=True)
-    y = x * 3.0
-    s = y + y  # s passes one gradient array to y twice
+    at_y, at_s, at_z = [], [], []
+    y = _recording(x * 3.0, at_y)
+    s = _recording(y + y, at_s)  # s passes one gradient array to y twice
     (s * nx.Tensor(probe)).sum().backward()
-    assert np.array_equal(s.grad, probe)
-    assert np.array_equal(y.grad, 2.0 * probe)
+    assert len(at_s) == 1 and np.array_equal(at_s[0], probe)
+    assert len(at_y) == 1 and np.array_equal(at_y[0], 2.0 * probe)
     assert np.array_equal(x.grad, 6.0 * probe)
-    z = x * 2.0  # its first gradient is reduce_sum's read-only broadcast view
+    z = _recording(x * 2.0, at_z)  # its first gradient is reduce_sum's read-only broadcast view
     (z.sum() + (z * nx.Tensor(probe)).sum()).backward()
-    assert np.array_equal(z.grad, 1.0 + probe)
+    assert len(at_z) == 1 and np.array_equal(at_z[0], 1.0 + probe)
+
+
+def test_backward_releases_interior_nodes_and_a_second_pass_raises():
+    x = nx.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = x * 3.0
+    loss = y.sum()
+    loss.backward()
+    assert np.array_equal(x.grad, [3.0, 3.0])  # a leaf keeps its gradient
+    assert y.grad is None and y._parents == () and np.array_equal(y.values, [3.0, 6.0])
+    with pytest.raises(nx.ContractError):
+        loss.backward()
+    with pytest.raises(nx.ContractError):  # a new loss over a released node
+        (y * 2.0).sum().backward()
+    assert np.array_equal(x.grad, [3.0, 3.0])
+
+
+def test_backward_peak_memory_does_not_grow_with_the_chain():
+    # 20 muls on a 1 MB array; each passes back a new 1 MB gradient. Kept
+    # until the loss is dropped, they would raise the peak by about 21 arrays.
+    x = nx.Tensor(np.linspace(-1.0, 1.0, 1 << 17), requires_grad=True)
+    y = x
+    for _ in range(20):
+        y = y * 1.01
+    loss = y.sum()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 4 * x.values.nbytes
+    assert np.allclose(x.grad, 1.01 ** 20)
 
 
 def test_take_and_take_along_last_gradients():
@@ -248,6 +296,20 @@ class TestConvOps:
         assert rel_err(x.grad, fd_x) < 1e-6
         assert rel_err(w.grad, fd_w) < 1e-6
         assert rel_err(b.grad, fd_b) < 1e-6
+
+    def test_conv2d_parameter_gradients_do_not_depend_on_the_input_needing_one(self):
+        rng = np.random.default_rng(9)
+        x_val = rng.normal(size=(2, 3, 6, 6))
+        w_val = rng.normal(size=(4, 3, 3, 3))
+        probe = rng.normal(size=(2, 4, 6, 6))
+        grads = []
+        for x_needs_grad in (True, False):
+            x = nx.Tensor(x_val, requires_grad=x_needs_grad)
+            w, b = nx.Tensor(w_val, requires_grad=True), nx.Tensor(np.ones(4), requires_grad=True)
+            (nx.conv2d(x, w, b) * nx.Tensor(probe)).sum().backward()
+            assert (x.grad is not None) == x_needs_grad
+            grads.append((w.grad.tobytes(), b.grad.tobytes()))
+        assert grads[0] == grads[1]
 
     def test_conv_transpose2d_shape_and_gradients(self):
         # the decoder's 4x4 kernel at stride 2 doubles the grid
