@@ -198,7 +198,8 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0))
+        a, b = _pair(self, other)
+        return add(a, mul(b, -1.0))
 
     def __mul__(self, other):
         return mul(self, other)
@@ -239,13 +240,10 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 
 def _pair(a, b) -> tuple[Tensor, Tensor]:
-    """Coerce a binary op's operands; scalars adopt the tensor operand's dtype
-    so float32 graphs are not silently promoted to float64."""
-    if isinstance(a, Tensor):
-        return a, (b if isinstance(b, Tensor) else as_tensor(b, dtype=a.values.dtype))
-    if isinstance(b, Tensor):
-        return as_tensor(a, dtype=b.values.dtype), b
-    return as_tensor(a), as_tensor(b)
+    """Coerce a binary op's operands; a non-Tensor second operand adopts the
+    first's dtype, so float32 graphs are not silently promoted to float64."""
+    a = as_tensor(a)
+    return a, (b if isinstance(b, Tensor) else as_tensor(b, dtype=a.values.dtype))
 
 
 def _make(values: np.ndarray, parents: tuple, backward: Callable, op: str) -> Tensor:

@@ -48,7 +48,7 @@ from .numerics import (
     train_loop,
 )
 from .rng import rng_for
-from .tokenizer import EVAL_CHUNK, ModelConfig, ScaleSchedule, TokenPyramid
+from .tokenizer import EVAL_CHUNK, ModelConfig, ScaleSchedule
 
 MASK_BIAS = -1e9  # exp() underflows to exactly 0.0, so masking is bit-exact
 
@@ -303,13 +303,6 @@ class PriorModel:
         return logits[-n * n:]
 
 
-def forward(tokens: TokenPyramid, c: int, model: PriorModel) -> np.ndarray:
-    """Per-position logits (L, V) for one pyramid under condition c."""
-    with no_grad():
-        out = model.forward_batch([g[None] for g in tokens.grids], np.array([c]))
-    return out.values[0]
-
-
 def flatten_targets(grids: Sequence[np.ndarray]) -> np.ndarray:
     """Per-scale (B, n, n) grids -> (B, L) flat target indices."""
     b = np.asarray(grids[0]).shape[0]
@@ -358,25 +351,6 @@ def per_token_loss(model: PriorModel, grids: Sequence[np.ndarray], labels: np.nd
             total += loss.item() * tokens
             count += tokens
     return total / count
-
-
-def _realized_logprob(logits: np.ndarray, flat: np.ndarray) -> float:
-    """Sum over rows of the log-softmax value at each row's realized index."""
-    logp = log_softmax(logits).values
-    return float(logp[np.arange(flat.size), flat].sum())
-
-
-def joint_logprob(pyramid: TokenPyramid, c: int, model: PriorModel) -> float:
-    """log p(pyramid | c): sum of log-softmax values at the realized indices."""
-    return _realized_logprob(forward(pyramid, c, model), pyramid.flat())
-
-
-def joint_logprob_incremental(pyramid: TokenPyramid, c: int, model: PriorModel) -> float:
-    """Same quantity scale by scale through one cache (factorization identity)."""
-    cache = ScaleCache(c)
-    return sum(_realized_logprob(model.next_scale_logits(list(pyramid.grids[:k]), c, cache),
-                                 pyramid.grids[k].reshape(-1))
-               for k in range(model.schedule.num_scales))
 
 
 # -- checkpointing -------------------------------------------------------------

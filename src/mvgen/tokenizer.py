@@ -122,10 +122,6 @@ class TokenPyramid:
             if g.size and g.min() < 0:
                 raise ContractError("token indices must be non-negative")
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(g.shape[0] for g in self.grids)
-
     def flat(self) -> np.ndarray:
         return np.concatenate([g.reshape(-1) for g in self.grids])
 
@@ -268,16 +264,7 @@ class TokenizerModel:
                                 stride=1, padding=1) * 0.5
 
 
-# -- spec-level operations ----------------------------------------------------
-
-
-def quantize(vec: np.ndarray, codebook: Codebook) -> int:
-    """Nearest codebook row by squared Euclidean distance; ties -> lowest index."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if not np.isfinite(vec).all():
-        raise NumericError("quantize received non-finite input")
-    deltas = codebook.embeddings.astype(np.float64) - vec[None, :]
-    return int(np.argmin((deltas * deltas).sum(axis=1)))
+# -- encoding and decoding ----------------------------------------------------
 
 
 def _quantize_grid(features: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
@@ -332,11 +319,6 @@ def encode_batch(model: TokenizerModel, images: np.ndarray) -> list[np.ndarray]:
         return [idx for _, idx, *_ in _walk(model, images)[1]]
 
 
-def encode(x: np.ndarray, model: TokenizerModel) -> TokenPyramid:
-    grids = encode_batch(model, np.asarray(x)[None, :, :])
-    return TokenPyramid(tuple(g[0] for g in grids))
-
-
 def decode_batch(model: TokenizerModel, grids: Sequence[np.ndarray]) -> np.ndarray:
     """Per-scale index grids -> images (B, R, R) clamped to [0, 1]; the first
     k grids alone reconstruct from the first k scales."""
@@ -352,13 +334,6 @@ def decode_batch(model: TokenizerModel, grids: Sequence[np.ndarray]) -> np.ndarr
             f = f + model.phi(k, resize_bilinear(zq, n_latent, n_latent)).values
         out = model.decoder_forward(as_tensor(f)).values[:, 0]
     return np.clip(out, 0.0, 1.0)
-
-
-def decode(pyramid: TokenPyramid, model: TokenizerModel) -> np.ndarray:
-    if pyramid.sizes != model.schedule.sizes:
-        raise ContractError(
-            f"pyramid sizes {pyramid.sizes} do not match schedule {model.schedule.sizes}")
-    return decode_batch(model, [g[None] for g in pyramid.grids])[0]
 
 
 # -- training ------------------------------------------------------------------
@@ -397,9 +372,7 @@ def st_anchors(model: TokenizerModel, batch: np.ndarray) -> list[StAnchor]:
 
 
 def training_graph(model: TokenizerModel, batch: np.ndarray,
-                   frozen_grids: Sequence[np.ndarray] | None = None,
-                   anchors: Sequence[StAnchor] | None = None
-                   ) -> tuple[Tensor, _StepStats]:
+                   anchors: Sequence[StAnchor] | None = None) -> tuple[Tensor, _StepStats]:
     """Build the straight-through loss graph for one batch from `_walk`.
 
     loss = recon + beta_commit * sum_k mean((fk - zq_k)^2)
@@ -411,17 +384,16 @@ def training_graph(model: TokenizerModel, batch: np.ndarray,
     output f and the codes are held constant in it, so it trains only the
     refinements phi_j, to cancel what the walk subtracts.
 
-    frozen_grids pins the quantizer's index choices. anchors additionally
-    replaces the stop-gradient offset and sg(f) with captured constants (see
-    StAnchor), which the gradient oracle differentiates by finite differences.
+    anchors replay captured index choices and replace the stop-gradient
+    offset and sg(f) with captured constants (see StAnchor), which the
+    gradient oracle differentiates by finite differences.
     """
     cfg = model.config
     v, c = model.codebook.embeddings.shape
     n_latent = model.schedule.latent_size
-    if anchors is not None:
-        frozen_grids = [a.indices for a in anchors]
+    grids = None if anchors is None else [a.indices for a in anchors]
     offsets = None if anchors is None else [a.offset for a in anchors]
-    latent, scales = _walk(model, batch, frozen_grids, offsets)
+    latent, scales = _walk(model, batch, grids, offsets)
     # the walk term's residual starts from sg(f)
     residual = as_tensor(latent.values if anchors is None else anchors[0].latent)
     recon_feat = commit = walk = None

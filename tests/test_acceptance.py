@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import DETECTORS, default_labels, joint_logprob, joint_logprob_incremental
 
 from mvgen import datagen as dg
 from mvgen import metrics as mx
@@ -87,8 +88,8 @@ def test_criterion_4_factorization_identity(tiny_prior):
         pyramid = tok.TokenPyramid(tuple(rng.integers(0, 16, size=(n, n))
                                          for n in (1, 2, 3)))
         c = int(rng.integers(0, 3))
-        full = pr.joint_logprob(pyramid, c, tiny_prior)
-        incremental = pr.joint_logprob_incremental(pyramid, c, tiny_prior)
+        full = joint_logprob(pyramid, c, tiny_prior)
+        incremental = joint_logprob_incremental(pyramid, c, tiny_prior)
         assert abs(full - incremental) <= 1e-9 * max(abs(full), 1.0)
     assert time.perf_counter() - start < 30.0
     report(4, "factorization identity, 100 pyramids at 1e-9")
@@ -97,16 +98,15 @@ def test_criterion_4_factorization_identity(tiny_prior):
 def test_criterion_5_causality_bit_exact(tiny_prior):
     start = time.perf_counter()
     rng = np.random.default_rng(5)
-    base_pyramid = tok.TokenPyramid(tuple(rng.integers(0, 16, size=(n, n))
-                                          for n in (1, 2, 3)))
-    base_logits = pr.forward(base_pyramid, 1, tiny_prior)
+    base_grids = [rng.integers(0, 16, size=(1, n, n)) for n in (1, 2, 3)]
+    base_logits = tiny_prior.forward_batch(base_grids, [1]).values[0]
     slices = tiny_prior.schedule.position_slices()
     for trial in range(1000):
         k = int(rng.integers(1, 3))  # perturb scale k (0-based); earlier rows fixed
-        grids = [g.copy() for g in base_pyramid.grids]
-        n = grids[k].shape[0]
-        grids[k][rng.integers(0, n), rng.integers(0, n)] = rng.integers(0, 16)
-        logits = pr.forward(tok.TokenPyramid(tuple(grids)), 1, tiny_prior)
+        grids = [g.copy() for g in base_grids]
+        n = grids[k].shape[-1]
+        grids[k][0, rng.integers(0, n), rng.integers(0, n)] = rng.integers(0, 16)
+        logits = tiny_prior.forward_batch(grids, [1]).values[0]
         upto = slices[k].stop
         assert np.array_equal(base_logits[:upto], logits[:upto])
     assert time.perf_counter() - start < 60.0
@@ -154,13 +154,12 @@ def test_criterion_6_gradient_correctness():
     tkn = tok.TokenizerModel.create(tkn_cfg, seed=6)
     batch = np.random.default_rng(60).random((2, 8, 8))
     anchors = tok.st_anchors(tkn, batch)
-    frozen = tok.encode_batch(tkn, batch)
 
     # the anchored surrogate and the production straight-through graph must
     # report identical gradients at the anchor point
     for p in tkn.params.values():
         p.zero_grad()
-    tok.training_graph(tkn, batch, frozen_grids=frozen)[0].backward()
+    tok.training_graph(tkn, batch)[0].backward()
     st_grads = {name: p.grad.copy() for name, p in tkn.params.items()}
     for p in tkn.params.values():
         p.zero_grad()
@@ -249,7 +248,7 @@ def desk_pipeline(tokenizer_seeds, prior_seeds):
     """The desk-scale run for one (model init, training stream) seed pair each
     of the tokenizer and the prior: corpus, both models and the samples."""
     start = time.perf_counter()
-    specs = [dg.PhantomSpec(lbl, fam, 1.0, MASTER_SEED) for lbl, fam in dg.default_labels()]
+    specs = [dg.PhantomSpec(lbl, fam, 1.0, MASTER_SEED) for lbl, fam in default_labels()]
     corpus = dg.build_corpus(specs, per_label=PER_LABEL, resolution=32,
                              master_seed=MASTER_SEED)
     train, val, test = (corpus.values[k].astype(np.float32) for k in ("train", "val", "test"))
@@ -273,7 +272,7 @@ def desk_pipeline(tokenizer_seeds, prior_seeds):
                    batch_size=32, seed=prior_seeds[1])
     print(f"[acceptance] prior trained ({time.perf_counter() - start:.0f}s)")
 
-    families = {lbl.id: fam for lbl, fam in dg.default_labels()}
+    families = {lbl.id: fam for lbl, fam in default_labels()}
     guided_by_label = {}
     for label_id in range(4):
         images = []
@@ -314,7 +313,7 @@ def detector_rates(run) -> dict[int, float]:
     """Share of each label's guided samples its family's detector accepts."""
     rates = {}
     for label_id, images in run["guided_by_label"].items():
-        detector = dg.geometry_detector(run["families"][label_id])
+        detector = DETECTORS[run["families"][label_id]]
         rates[label_id] = sum(bool(detector(img)) for img in images) / images.shape[0]
     return rates
 
@@ -384,7 +383,7 @@ def test_trained_condition_sensitivity(desk_run):
     for label_id, images in sorted(test_by_label.items()):
         grids = tok.encode_batch(tkn, np.stack(images[:10]).astype(np.float32))
         pyramids = [tok.TokenPyramid(tuple(g[i] for g in grids)) for i in range(10)]
-        scores = {c: float(np.mean([pr.joint_logprob(p, c, prior_model)
+        scores = {c: float(np.mean([joint_logprob(p, c, prior_model)
                                     for p in pyramids]))
                   for c in range(4)}
         best = max(scores, key=scores.get)

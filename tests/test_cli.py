@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -731,3 +732,9 @@ def test_rerun_with_echoed_config_reproduces_artifacts(tmp_path):
     out = run_cli("datagen", "--workdir", str(tmp_path), "--config", str(tmp_path / "echoed.json"))
     assert out.returncode == 0
     assert dir_hash(tmp_path / "corpus") == first
+
+
+@pytest.mark.parametrize("script", ["acceptance_margins", "cli_traffic"])
+def test_uncollected_script_imports(script):
+    # pytest collects neither script; importing one runs no main()
+    assert callable(importlib.import_module(script).main)

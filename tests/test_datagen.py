@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import DETECTORS, default_labels, detect_parallel_bands
 
 from mvgen import datagen as dg
 from mvgen import pgmio
@@ -57,15 +58,15 @@ class TestMakePhantom:
         for i in range(100):
             band_img = dg.preprocess(dg.make_phantom(band_spec, i), 32)
             ellipse_img = dg.preprocess(dg.make_phantom(ellipse_spec, i), 32)
-            band_hits += dg.detect_parallel_bands(band_img)
-            ellipse_hits += dg.detect_parallel_bands(ellipse_img)
+            band_hits += detect_parallel_bands(band_img)
+            ellipse_hits += detect_parallel_bands(ellipse_img)
         assert band_hits == 100
         assert ellipse_hits == 0
 
     @pytest.mark.parametrize("family", dg.FAMILIES)
     def test_matching_detector_fires(self, family):
         spec = self.spec(family)
-        detector = dg.geometry_detector(family)
+        detector = DETECTORS[family]
         hits = sum(detector(dg.preprocess(dg.make_phantom(spec, i), 32)) for i in range(100))
         assert hits >= 99
 
@@ -196,7 +197,7 @@ class TestForegroundFilter:
 
 class TestResizeCanonical:
     def test_zero_resolution_rejected(self):
-        label, family = dg.default_labels()[0]
+        label, family = default_labels()[0]
         raw = dg.make_phantom(dg.PhantomSpec(label, family, 1.0, 7), 0)
         assert dg.preprocess(raw, 4).shape == (4, 4)
         with pytest.raises(ContractError, match="at least 1x1"):
@@ -205,7 +206,7 @@ class TestResizeCanonical:
 
 @pytest.fixture(scope="module")
 def small_corpus():
-    specs = [dg.PhantomSpec(lbl, fam, 1.0, 7) for lbl, fam in dg.default_labels()]
+    specs = [dg.PhantomSpec(lbl, fam, 1.0, 7) for lbl, fam in default_labels()]
     return dg.build_corpus(specs, per_label=20, resolution=32, master_seed=3)
 
 
@@ -224,7 +225,7 @@ class TestBuildCorpus:
         assert n_val * 4 == 200 and n_test * 4 == 200
 
     def test_determinism_of_manifest_hash(self, small_corpus):
-        specs = [dg.PhantomSpec(lbl, fam, 1.0, 7) for lbl, fam in dg.default_labels()]
+        specs = [dg.PhantomSpec(lbl, fam, 1.0, 7) for lbl, fam in default_labels()]
         again = dg.build_corpus(specs, per_label=20, resolution=32, master_seed=3)
         assert again.manifest_hash() == small_corpus.manifest_hash()
 
@@ -234,15 +235,15 @@ class TestBuildCorpus:
             assert values.min() >= 0.0 and values.max() <= 1.0
 
     def test_test_slices_pass_their_detector(self, small_corpus):
-        families = {lbl.id: fam for lbl, fam in dg.default_labels()}
+        families = {lbl.id: fam for lbl, fam in default_labels()}
         for values, label_id in zip(small_corpus.values["test"], small_corpus.labels["test"]):
-            assert dg.geometry_detector(families[label_id])(values)
+            assert DETECTORS[families[label_id]](values)
 
     def test_manifest_header(self, small_corpus):
         assert small_corpus.manifest_text().startswith("MVCORPUS 1\n")
 
     def test_zero_per_label_rejected(self):
-        specs = [dg.PhantomSpec(lbl, fam, 1.0, 7) for lbl, fam in dg.default_labels()]
+        specs = [dg.PhantomSpec(lbl, fam, 1.0, 7) for lbl, fam in default_labels()]
         with pytest.raises(ContractError):
             dg.build_corpus(specs, per_label=0, resolution=32)
 
@@ -259,7 +260,7 @@ class TestBuildCorpus:
             dg.build_corpus(specs, per_label=2, resolution=16)
 
     def test_bad_split_rejected(self):
-        specs = [dg.PhantomSpec(lbl, fam, 1.0, 7) for lbl, fam in dg.default_labels()]
+        specs = [dg.PhantomSpec(lbl, fam, 1.0, 7) for lbl, fam in default_labels()]
         with pytest.raises(ContractError):
             dg.build_corpus(specs, per_label=4, resolution=32, split=(0.5, 0.2, 0.2))
 

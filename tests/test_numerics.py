@@ -90,12 +90,22 @@ class TestForwardBackward:
         loss.backward()
         assert x.grad == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("other", [1.0, np.full(3, 0.25, dtype=np.float32)],
+                             ids=["float", "array"])
+    def test_float32_minus_a_non_tensor_stays_float32(self, other):
+        x = nx.Tensor(np.linspace(-1.0, 1.0, 3, dtype=np.float32), requires_grad=True)
+        y = x - other
+        (y * y).sum().backward()
+        assert y.values.dtype == x.grad.dtype == np.float32
+        assert np.array_equal(y.values, x.values - np.asarray(other, dtype=np.float32))
+
 
 OPS = {
     "add_broadcast": lambda x: (x + nx.Tensor(np.arange(4.0))).sum(),
     "mul": lambda x: (x * x).sum(),
     "power3": lambda x: nx.power(x, 3.0).sum(),
     "exp": lambda x: nx.exp(x).mean(),
+    "log": lambda x: nx.log(x * x + 0.5).sum(),
     "tanh": lambda x: nx.tanh(x).sum(),
     "gelu": lambda x: nx.gelu(x).sum(),
     "relu": lambda x: nx.relu(x + 0.05).sum(),  # nudge off the kink

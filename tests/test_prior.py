@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import joint_logprob, joint_logprob_incremental
 
 from mvgen import prior as pr
 from mvgen.numerics import ContractError, NumericError, OptimizerConfig, l2_normalize
@@ -126,42 +127,42 @@ class TestForward:
 
     def test_logit_rows_normalize(self):
         model = nonzero_head(make_model())
-        logits = pr.forward(random_pyramid(model), 1, model)
+        grids = [g[None] for g in random_pyramid(model).grids]
+        logits = model.forward_batch(grids, [1]).values[0]
         probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_perturbing_last_grid_never_changes_logits(self):
         model = nonzero_head(make_model())
-        pyr = random_pyramid(model)
-        base = pr.forward(pyr, 0, model)
-        changed = list(pyr.grids)
-        changed[-1] = (changed[-1] + 3) % 16
-        new = pr.forward(TokenPyramid(tuple(changed)), 0, model)
+        grids = [g[None] for g in random_pyramid(model).grids]
+        base = model.forward_batch(grids, [0]).values
+        changed = grids[:-1] + [(grids[-1] + 3) % 16]
+        new = model.forward_batch(changed, [0]).values
         assert np.array_equal(base, new)  # final grid is target-only
 
     def test_causality_bit_exact(self):
         model = nonzero_head(make_model())
-        pyr = random_pyramid(model, seed=5)
-        base = pr.forward(pyr, 1, model)
+        grids = [g[None] for g in random_pyramid(model, seed=5).grids]
+        base = model.forward_batch(grids, [1]).values[0]
         slices = model.schedule.position_slices()
         rng = np.random.default_rng(7)
         for _ in range(50):
             k = int(rng.integers(1, 3))  # perturb grids at scale index k (0-based)
-            changed = [g.copy() for g in pyr.grids]
-            n = changed[k].shape[0]
-            changed[k][rng.integers(0, n), rng.integers(0, n)] = rng.integers(0, 16)
-            new = pr.forward(TokenPyramid(tuple(changed)), 1, model)
+            changed = [g.copy() for g in grids]
+            n = changed[k].shape[-1]
+            changed[k][0, rng.integers(0, n), rng.integers(0, n)] = rng.integers(0, 16)
+            new = model.forward_batch(changed, [1]).values[0]
             upto = slices[k].stop
             assert np.array_equal(base[:upto], new[:upto])
 
     def test_earlier_grid_changes_later_logits(self):
         model = nonzero_head(make_model())
-        pyr = random_pyramid(model, seed=6)
-        base = pr.forward(pyr, 1, model)
-        changed = [g.copy() for g in pyr.grids]
-        changed[0][0, 0] = (changed[0][0, 0] + 7) % 16
-        new = pr.forward(TokenPyramid(tuple(changed)), 1, model)
+        grids = [g[None] for g in random_pyramid(model, seed=6).grids]
+        base = model.forward_batch(grids, [1]).values[0]
+        changed = [g.copy() for g in grids]
+        changed[0][0, 0, 0] = (changed[0][0, 0, 0] + 7) % 16
+        new = model.forward_batch(changed, [1]).values[0]
         assert not np.array_equal(base[1:], new[1:])
 
 
@@ -169,16 +170,16 @@ class TestJointLogprob:
     def test_single_scale_single_token(self):
         model = nonzero_head(make_model(schedule=(1,), vocab=8))
         pyr = TokenPyramid((np.array([[3]]),))
-        logits = pr.forward(pyr, 0, model)[0]
+        logits = model.forward_batch([g[None] for g in pyr.grids], [0]).values[0, 0]
         expected = logits[3] - np.log(np.exp(logits - logits.max()).sum()) - logits.max()
-        assert pr.joint_logprob(pyr, 0, model) == pytest.approx(expected, rel=1e-12)
+        assert joint_logprob(pyr, 0, model) == pytest.approx(expected, rel=1e-12)
 
     def test_factorization_identity(self):
         model = nonzero_head(make_model())
         for seed in range(5):
             pyr = random_pyramid(model, seed=seed)
-            full = pr.joint_logprob(pyr, seed % 3, model)
-            inc = pr.joint_logprob_incremental(pyr, seed % 3, model)
+            full = joint_logprob(pyr, seed % 3, model)
+            inc = joint_logprob_incremental(pyr, seed % 3, model)
             assert abs(full - inc) <= 1e-9 * max(abs(full), 1.0)
 
     def test_per_scale_conditionals_are_probabilities(self):
@@ -341,8 +342,9 @@ class TestCheckpoint:
         path = tmp_path / "prior.mvckpt"
         pr.save_prior(path, model)
         loaded, _ = pr.load_prior(path)
-        pyr = TokenPyramid((np.array([[1]]), np.array([[2, 3], [4, 5]])))
-        assert np.array_equal(pr.forward(pyr, 0, model), pr.forward(pyr, 0, loaded))
+        grids = [np.array([[[1]]]), np.array([[[2, 3], [4, 5]]])]
+        assert np.array_equal(model.forward_batch(grids, [0]).values,
+                              loaded.forward_batch(grids, [0]).values)
 
 
 def test_config_validation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import quantize
 
 from mvgen import tokenizer as tok
 from mvgen.checkpoint import ArtifactError
@@ -59,22 +60,22 @@ class TestQuantize:
 
     def test_nearest(self):
         cb = self.cb([[0.0, 0.0], [1.0, 1.0]])
-        assert tok.quantize(np.array([0.2, 0.1]), cb) == 0
+        assert quantize(np.array([0.2, 0.1]), cb) == 0
 
     def test_tie_breaks_low_index(self):
         cb = self.cb([[0.0, 0.0], [1.0, 1.0]])
-        assert tok.quantize(np.array([0.5, 0.5]), cb) == 0
+        assert quantize(np.array([0.5, 0.5]), cb) == 0
 
     def test_exact_row_match(self):
         rows = np.random.default_rng(1).normal(size=(6, 3))
         cb = self.cb(rows)
         for j in range(6):
-            assert tok.quantize(rows[j], cb) == j
+            assert quantize(rows[j], cb) == j
 
     def test_nan_rejected(self):
         cb = self.cb([[0.0], [1.0]])
         with pytest.raises(NumericError):
-            tok.quantize(np.array([np.nan]), cb)
+            quantize(np.array([np.nan]), cb)
 
     def test_grid_quantize_matches_scalar(self):
         rng = np.random.default_rng(2)
@@ -85,7 +86,7 @@ class TestQuantize:
         for b in range(2):
             for y in range(4):
                 for x in range(4):
-                    assert grid[b, y, x] == tok.quantize(feats[b, :, y, x], cb)
+                    assert grid[b, y, x] == quantize(feats[b, :, y, x], cb)
 
 
 class TestEncodeDecode:
@@ -108,8 +109,8 @@ class TestEncodeDecode:
             latent = model.encoder_forward(as_tensor(image[None, None])).values
         cells = latent[0].transpose(1, 2, 0).reshape(-1, 4)
         model.codebook.embeddings = cells.copy()  # codebook = exact latents
-        pyramid = tok.encode(image, model)
-        looked_up = model.codebook.embeddings[pyramid.grids[0]].transpose(2, 0, 1)
+        grids = tok.encode_batch(model, image[None])
+        looked_up = model.codebook.embeddings[grids[0][0]].transpose(2, 0, 1)
         assert np.allclose(looked_up, latent[0], atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -123,28 +124,28 @@ class TestEncodeDecode:
 
     def test_encode_rejects_wrong_resolution(self, desk_model):
         with pytest.raises(ContractError):
-            tok.encode(np.zeros((16, 16)), desk_model)
+            tok.encode_batch(desk_model, np.zeros((1, 16, 16)))
 
     def test_decode_rejects_out_of_range_index(self, desk_model):
-        grids = [np.zeros((n, n), dtype=np.int64) for n in (1, 2, 3, 4)]
-        grids[1][0, 0] = 64
+        grids = [np.zeros((1, n, n), dtype=np.int64) for n in (1, 2, 3, 4)]
+        grids[1][0, 0, 0] = 64
         with pytest.raises(ContractError):
-            tok.decode(tok.TokenPyramid(tuple(grids)), desk_model)
+            tok.decode_batch(desk_model, grids)
 
     def test_constant_index_decode_deterministic(self, desk_model):
-        grids = tuple(np.full((n, n), 5, dtype=np.int64) for n in (1, 2, 3, 4))
-        a = tok.decode(tok.TokenPyramid(grids), desk_model)
-        b = tok.decode(tok.TokenPyramid(grids), desk_model)
+        grids = [np.full((1, n, n), 5, dtype=np.int64) for n in (1, 2, 3, 4)]
+        a = tok.decode_batch(desk_model, grids)
+        b = tok.decode_batch(desk_model, grids)
         assert a.tobytes() == b.tobytes()
 
     def test_decode_sensitive_to_scale_assignment(self, desk_model):
         # constant grids with indices swapped between two scales must differ
-        a = tuple(np.full((n, n), 3 if k != 1 else 9, dtype=np.int64)
-                  for k, n in enumerate((1, 2, 3, 4)))
-        b = tuple(np.full((n, n), 3 if k != 2 else 9, dtype=np.int64)
-                  for k, n in enumerate((1, 2, 3, 4)))
-        out_a = tok.decode(tok.TokenPyramid(a), desk_model)
-        out_b = tok.decode(tok.TokenPyramid(b), desk_model)
+        a = [np.full((1, n, n), 3 if k != 1 else 9, dtype=np.int64)
+             for k, n in enumerate((1, 2, 3, 4))]
+        b = [np.full((1, n, n), 3 if k != 2 else 9, dtype=np.int64)
+             for k, n in enumerate((1, 2, 3, 4))]
+        out_a = tok.decode_batch(desk_model, a)
+        out_b = tok.decode_batch(desk_model, b)
         assert not np.array_equal(out_a, out_b)
 
     def test_phi_is_half_input_plus_half_conv(self, tiny_model):
@@ -156,9 +157,9 @@ class TestEncodeDecode:
 
     def test_roundtrip_encode_decode_pyramid_shapes(self, tiny_model):
         image = np.random.default_rng(1).random((8, 8))
-        pyramid = tok.encode(image, tiny_model)
-        assert pyramid.sizes == (1, 2)
-        assert all(g.max() < 8 for g in pyramid.grids)
+        grids = tok.encode_batch(tiny_model, image[None])
+        assert [g.shape for g in grids] == [(1, 1, 1), (1, 2, 2)]
+        assert all(g.max() < 8 for g in grids)
 
 
 class TestStraightThrough:
@@ -185,15 +186,14 @@ class TestStraightThrough:
         assert enc_grad is not None and np.abs(enc_grad).max() > 0
 
     def test_finest_phi_trained_to_shrink_the_walk_residual(self, tiny_model):
-        # with the decoder silenced and the codes frozen, only a term on the
-        # walk's own full-resolution residual reaches the finest scale's
-        # refinement: the quantizer term never sees what it subtracts
+        # with the decoder silenced, only a term on the walk's own
+        # full-resolution residual reaches the finest scale's refinement:
+        # the quantizer term never sees what it subtracts
         batch = np.random.default_rng(8).random((2, 8, 8))
         for name, p in tiny_model.params.items():
             if name.startswith("dec") and name.endswith(".w"):
                 p.values = np.zeros_like(p.values)
-        grids = tok.encode_batch(tiny_model, batch)
-        loss, _ = tok.training_graph(tiny_model, batch, frozen_grids=grids)
+        loss, _ = tok.training_graph(tiny_model, batch)
         loss.backward()
         finest = tiny_model.schedule.num_scales - 1
         grad = tiny_model.params[f"phi{finest}.w"].grad
@@ -227,9 +227,9 @@ class TestStraightThrough:
         model = tok.TokenizerModel.create(tok.TokenizerConfig(dtype="float32"), seed=11)
         batch = np.random.default_rng(9).random((16, 32, 32)).astype(np.float32)
         seen = []
-        quantize = tok._quantize_grid
+        quantize_grid = tok._quantize_grid
         monkeypatch.setattr(tok, "_quantize_grid",
-                            lambda f, emb: seen.append(f.copy()) or quantize(f, emb))
+                            lambda f, emb: seen.append(f.copy()) or quantize_grid(f, emb))
         tok.training_graph(model, batch)
         trained = seen[:]
         seen.clear()
@@ -388,9 +388,9 @@ class TestCheckpoint:
         tok.save_tokenizer(path, model)
         loaded, _ = tok.load_tokenizer(path)
         image = np.random.default_rng(2).random((32, 32)).astype(np.float32)
-        a = tok.encode(image, model)
-        b = tok.encode(image, loaded)
-        assert all(np.array_equal(x, y) for x, y in zip(a.grids, b.grids))
+        a = tok.encode_batch(model, image[None])
+        b = tok.encode_batch(loaded, image[None])
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_codebook_of_the_wrong_shape_rejected(self, tmp_path):
         model = tok.TokenizerModel.create(tok.TokenizerConfig(dtype="float32"), seed=0)
