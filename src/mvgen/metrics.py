@@ -29,6 +29,11 @@ CSV_HEADER = "model,n_real,n_fake,fid,kid,median_time_s,efficiency,gamma,seed"
 EFFICIENCY_GAMMA = 0.1
 EFFICIENCY_TOLERANCE = 0.05
 
+# Images per encoder call in `FeatureEmbedder.embed`: 32 keep the encoder's
+# largest im2col buffer at 4 MB at the default tokenizer (17 MB at 128), so
+# evaluation's peak memory does not hinge on the allocator's free lists.
+EMBED_CHUNK = 32
+
 
 class FeatureEmbedder:
     """Frozen tokenizer encoder + spatial mean pooling -> C-dim features."""
@@ -42,20 +47,15 @@ class FeatureEmbedder:
         model, _ = load_tokenizer(path)
         return cls(model, checkpoint_hash=ckpt.checkpoint_hash(path))
 
-    def embed(self, images: np.ndarray, chunk: int = 32) -> np.ndarray:
-        """(N, R, R) -> (N, C) float64 features.
-
-        Each image's features are independent of the chunk size. 32 images
-        keep the encoder's largest im2col buffer at 4 MB at the default
-        tokenizer (17 MB at 128), so whether evaluation raises the process's
-        peak memory does not hinge on the allocator's free lists.
-        """
+    def embed(self, images: np.ndarray) -> np.ndarray:
+        """(N, R, R) -> (N, C) float64 features, `EMBED_CHUNK` images per
+        encoder call; each image's features are independent of the chunk size."""
         images = np.asarray(images)
         dtype = self.model.config.np_dtype()
         feats = []
         with no_grad():
-            for lo in range(0, images.shape[0], chunk):
-                part = images[lo:lo + chunk].astype(dtype)[:, None]
+            for lo in range(0, images.shape[0], EMBED_CHUNK):
+                part = images[lo:lo + EMBED_CHUNK].astype(dtype)[:, None]
                 latent = self.model.encoder_forward(as_tensor(part)).values
                 feats.append(latent.mean(axis=(2, 3)))
         return np.concatenate(feats, axis=0).astype(np.float64)

@@ -1,9 +1,10 @@
 """2D convolution, transposed convolution and bilinear resampling.
 
 All spatial ops use channels-first layout (B, C, H, W). Convolutions run as
-im2col matmuls; the transposed convolution reuses the scatter (col2im) path,
-which is also the exact gradient of the forward convolution. Both take their
-kernel gradient from one product over the whole batch (`_kernel_grad`). Bilinear
+im2col matmuls with a 1-pixel zero border (`PADDING`); the transposed
+convolution, always at stride 2, reuses the scatter (col2im) path, which is
+also the exact gradient of the forward convolution. Both take their kernel
+gradient from one product over the whole batch (`_kernel_grad`). Bilinear
 resampling uses area-aligned sample positions (pixel centers at (i + 0.5)/N),
 so a 2x2 -> 1x1 resize averages all four pixels and every output is a convex
 combination of inputs.
@@ -17,11 +18,12 @@ import numpy as np
 
 from .tensor import ContractError, Tensor, _make, as_tensor
 
+PADDING = 1
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """x (B,C,H,W) -> cols (B, C*kh*kw, Ho*Wo)."""
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
+    """x (B,C,H,W) -> cols (B, C*kh*kw, Ho*Wo) over the zero-padded x."""
+    x = np.pad(x, ((0, 0), (0, 0), (PADDING, PADDING), (PADDING, PADDING)))
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]
     b, c, ho, wo = windows.shape[:4]
@@ -30,16 +32,14 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
 
 
 def _col2im(cols: np.ndarray, b: int, c: int, h: int, w: int,
-            kh: int, kw: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
+            kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """Scatter-add columns back onto a (B,C,H,W) canvas (adjoint of _im2col)."""
-    canvas = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    canvas = np.zeros((b, c, h + 2 * PADDING, w + 2 * PADDING), dtype=cols.dtype)
     cols6 = cols.reshape(b, c, kh, kw, ho, wo)
     for i in range(kh):
         for j in range(kw):
             canvas[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols6[:, :, i, j]
-    if pad:
-        canvas = canvas[:, :, pad:h + pad, pad:w + pad]
-    return canvas
+    return canvas[:, :, PADDING:h + PADDING, PADDING:w + PADDING]
 
 
 def _kernel_grad(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -49,14 +49,14 @@ def _kernel_grad(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return a2 @ c2.T
 
 
-def conv2d(x, weight, bias, stride: int = 1, padding: int = 1) -> Tensor:
+def conv2d(x, weight, bias, stride: int = 1) -> Tensor:
     """weight (Cout, Cin, kh, kw), bias (Cout,)."""
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     b, cin, h, w = x.values.shape
     cout, cin_w, kh, kw = weight.values.shape
     if cin != cin_w:
         raise ContractError(f"conv2d channel mismatch: input {cin}, weight {cin_w}")
-    cols, ho, wo = _im2col(x.values, kh, kw, stride, padding)
+    cols, ho, wo = _im2col(x.values, kh, kw, stride)
     w_mat = weight.values.reshape(cout, cin * kh * kw)
     out = (w_mat @ cols).reshape(b, cout, ho, wo) + bias.values[None, :, None, None]
 
@@ -66,28 +66,28 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 1) -> Tensor:
         bias._accum(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             dcols = np.matmul(w_mat.T, g_mat)
-            x._accum(_col2im(dcols, b, cin, h, w, kh, kw, stride, padding, ho, wo))
+            x._accum(_col2im(dcols, b, cin, h, w, kh, kw, stride, ho, wo))
 
     return _make(out, (x, weight, bias), backward, "conv2d")
 
 
-def conv_transpose2d(x, weight, bias, stride: int = 2, padding: int = 1) -> Tensor:
-    """weight (Cin, Cout, kh, kw); output H = (H-1)*stride - 2*padding + kh."""
+def conv_transpose2d(x, weight, bias) -> Tensor:
+    """weight (Cin, Cout, kh, kw); stride 2, so output H = 2(H-1) - 2*PADDING + kh."""
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     b, cin, hi, wi = x.values.shape
     cin_w, cout, kh, kw = weight.values.shape
     if cin != cin_w:
         raise ContractError(f"conv_transpose2d channel mismatch: input {cin}, weight {cin_w}")
-    ho = (hi - 1) * stride - 2 * padding + kh
-    wo = (wi - 1) * stride - 2 * padding + kw
+    ho = 2 * (hi - 1) - 2 * PADDING + kh
+    wo = 2 * (wi - 1) - 2 * PADDING + kw
     w_mat = weight.values.reshape(cin, cout * kh * kw)
     x_mat = x.values.reshape(b, cin, hi * wi)
     cols = np.matmul(w_mat.T, x_mat)
-    out = _col2im(cols, b, cout, ho, wo, kh, kw, stride, padding, hi, wi)
+    out = _col2im(cols, b, cout, ho, wo, kh, kw, 2, hi, wi)
     out = out + bias.values[None, :, None, None]
 
     def backward(g):
-        g_cols, _, _ = _im2col(g, kh, kw, stride, padding)
+        g_cols, _, _ = _im2col(g, kh, kw, 2)
         x._accum(np.matmul(w_mat, g_cols).reshape(b, cin, hi, wi))
         weight._accum(_kernel_grad(x_mat, g_cols).reshape(weight.values.shape))
         bias._accum(g.sum(axis=(0, 2, 3)))

@@ -22,7 +22,9 @@ that reaches a released node raises ContractError.
 `linear(x, w, b)` is `x @ w + b` for a 2-D weight as one node, with the
 bits of the 2-D product plus the bias; `matmul` is the batched product of
 activations, such as attention's. `gelu` computes its derivative in the
-forward pass when a gradient is needed.
+forward pass when a gradient is needed. The normalizers (`layernorm`,
+`log_softmax`, `softmax`, `l2_normalize`) work on the last axis; the
+reductions (`reduce_sum`, `reduce_mean`) cover the whole tensor.
 """
 
 from __future__ import annotations
@@ -219,16 +221,16 @@ class Tensor:
         return index(self, key)
 
     def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
+        return reshape(self, shape)
 
     def transpose(self, *axes):
         return transpose(self, axes)
 
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
+    def sum(self):
+        return reduce_sum(self)
 
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
+    def mean(self):
+        return reduce_mean(self)
 
 
 def _released(g) -> None:
@@ -279,23 +281,14 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), backward, "mul")
 
 
-def _fast_pow(x: np.ndarray, p: float) -> np.ndarray:
-    # np.power's generic path is slow; special-case the exponents we use
-    if p == 1.0:
-        return x.copy()
-    if p == 2.0:
-        return x * x
-    return x ** p
-
-
 def power(a, exponent: float) -> Tensor:
     a = as_tensor(a)
     p = float(exponent)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = _fast_pow(a.values, p)
+        out = a.values ** p
 
     def backward(g):
-        a._accum(g * p * _fast_pow(a.values, p - 1.0))
+        a._accum(g * p * a.values ** (p - 1.0))
 
     return _make(out, (a,), backward, "power")
 
@@ -453,29 +446,25 @@ def take_along_last(a, indices: np.ndarray) -> Tensor:
 # -- reductions and linear algebra ------------------------------------------
 
 
-def _reduction(a: Tensor, out: np.ndarray, axis, keepdims: bool, op: str,
-               count: int = 1) -> Tensor:
-    """A sum of a over axis, divided by count; g spreads back over the axes."""
+def _reduction(a: Tensor, out: np.ndarray, op: str, count: int = 1) -> Tensor:
+    """The sum of all of a, divided by count; g spreads back over every element."""
     src_shape = a.values.shape
 
     def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         g = np.broadcast_to(g, src_shape)
         a._accum(g / count if count != 1 else g)
 
     return _make(out, (a,), backward, op)
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a) -> Tensor:
     a = as_tensor(a)
-    return _reduction(a, a.values.sum(axis=axis, keepdims=keepdims), axis, keepdims, "sum")
+    return _reduction(a, a.values.sum(), "sum")
 
 
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(a) -> Tensor:
     a = as_tensor(a)
-    out = a.values.mean(axis=axis, keepdims=keepdims)
-    return _reduction(a, out, axis, keepdims, "mean", a.values.size // max(out.size, 1))
+    return _reduction(a, a.values.mean(), "mean", a.values.size)
 
 
 def matmul(a, b) -> Tensor:
@@ -522,13 +511,13 @@ def linear(x, w, b) -> Tensor:
 # -- normalization and softmax ------------------------------------------------
 
 
-def layernorm(a, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no affine)."""
+def layernorm(a) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (eps 1e-5, no affine)."""
     a = as_tensor(a)
     x = a.values
     mean = x.mean(axis=-1, keepdims=True)
     centered = x - mean
-    inv = 1.0 / np.sqrt(centered.var(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(centered.var(axis=-1, keepdims=True) + 1e-5)
     out = centered * inv
 
     def backward(g):
@@ -538,33 +527,33 @@ def layernorm(a, eps: float = 1e-5) -> Tensor:
     return _make(out, (a,), backward, "layernorm")
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
+def log_softmax(a) -> Tensor:
     a = as_tensor(a)
     x = a.values
-    shifted = x - x.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = x - x.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
 
     def backward(g):
-        a._accum(g - np.exp(out) * g.sum(axis=axis, keepdims=True))
+        a._accum(g - np.exp(out) * g.sum(axis=-1, keepdims=True))
 
     return _make(out, (a,), backward, "log_softmax")
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    return exp(log_softmax(a, axis))
+def softmax(a) -> Tensor:
+    return exp(log_softmax(a))
 
 
-def l2_normalize(a, axis: int = -1) -> Tensor:
-    """Scale vectors along `axis` to unit L2 norm; zero vectors stay zero."""
+def l2_normalize(a) -> Tensor:
+    """Scale vectors along the last axis to unit L2 norm; zero vectors stay zero."""
     a = as_tensor(a)
     x = a.values
-    norm = np.sqrt((x * x).sum(axis=axis, keepdims=True))
+    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
     inv = np.where(norm > 0, 1.0 / np.where(norm > 0, norm, 1.0), 0.0)
     out = x * inv
 
     def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         a._accum((g - out * dot) * inv)
 
     return _make(out, (a,), backward, "l2_normalize")

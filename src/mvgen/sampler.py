@@ -36,7 +36,6 @@ class SamplingConfig:
     top_p: float | None = None
     temperature: float = 1.0
     seed: int = 0
-    cfg_ramp: bool = False  # ramp guidance strength 1 -> cfg_scale across scales
 
     def __post_init__(self):
         if self.cfg_scale is not None and not 0 <= self.cfg_scale < np.inf:
@@ -132,13 +131,6 @@ def _filtered_distribution(logits: np.ndarray, cfg: SamplingConfig) -> np.ndarra
     return probs
 
 
-def _guidance_strength(cfg: SamplingConfig, scale_index: int, num_scales: int) -> float:
-    s = cfg.cfg_scale
-    if not cfg.cfg_ramp or num_scales == 1:
-        return s
-    return 1.0 + (s - 1.0) * scale_index / (num_scales - 1)
-
-
 def _finite_logits(logits: np.ndarray, which: str, scale_index: int) -> np.ndarray:
     if not np.isfinite(logits).all():
         raise NumericError(f"non-finite {which} logits at scale {scale_index}")
@@ -167,8 +159,7 @@ def sample_scale(model: PriorModel, prefix: list[np.ndarray], c: int, cfg: Sampl
         uncond_logits = _finite_logits(model.next_scale_logits(
             prefix, model.config.null_index, cache=null_cache), "null", k)
         passes = 2
-        strength = _guidance_strength(cfg, k, model.schedule.num_scales)
-        guided = cfg_combine(cond_logits, uncond_logits, strength)
+        guided = cfg_combine(cond_logits, uncond_logits, cfg.cfg_scale)
     if cfg.temperature == 0.0:
         flat = np.argmax(guided, axis=-1)  # argmax limit; ties -> lowest index
     else:

@@ -241,8 +241,7 @@ class TokenizerModel:
         h = x
         stages = self.config.num_stages
         for i in range(stages):
-            h = conv2d(h, self.params[f"enc{i}.w"], self.params[f"enc{i}.b"],
-                       stride=2, padding=1)
+            h = conv2d(h, self.params[f"enc{i}.w"], self.params[f"enc{i}.b"], stride=2)
             if i < stages - 1:
                 h = relu(h)
         return h
@@ -252,16 +251,14 @@ class TokenizerModel:
         h = f
         stages = self.config.num_stages
         for i in range(stages):
-            h = conv_transpose2d(h, self.params[f"dec{i}.w"], self.params[f"dec{i}.b"],
-                                 stride=2, padding=1)
+            h = conv_transpose2d(h, self.params[f"dec{i}.w"], self.params[f"dec{i}.b"])
             if i < stages - 1:
                 h = relu(h)
         return h
 
     def phi(self, k: int, f: Tensor) -> Tensor:
         """Scale k's refinement: VAR's Phi, half the input plus half a 3x3 conv of it."""
-        return f * 0.5 + conv2d(f, self.params[f"phi{k}.w"], self.params[f"phi{k}.b"],
-                                stride=1, padding=1) * 0.5
+        return f * 0.5 + conv2d(f, self.params[f"phi{k}.w"], self.params[f"phi{k}.b"]) * 0.5
 
 
 # -- encoding and decoding ----------------------------------------------------
@@ -320,14 +317,22 @@ def encode_batch(model: TokenizerModel, images: np.ndarray) -> list[np.ndarray]:
 
 
 def decode_batch(model: TokenizerModel, grids: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-scale index grids -> images (B, R, R) clamped to [0, 1]; the first
-    k grids alone reconstruct from the first k scales."""
+    """Per-scale index grids -> images (B, R, R) clamped to [0, 1]; grid k is
+    (B, n_k, n_k), and the first k grids alone reconstruct from the first k scales."""
+    sizes = model.schedule.sizes
+    if not 1 <= len(grids) <= len(sizes):
+        raise ContractError(f"decode takes 1 to {len(sizes)} grids, got {len(grids)}")
+    grids = [np.asarray(idx) for idx in grids]
+    lead = grids[0].shape[:1]
+    for k, idx in enumerate(grids):
+        want = lead + (sizes[k], sizes[k])
+        if idx.shape != want:
+            raise ContractError(f"grid {k} has shape {idx.shape}, expected {want}")
     n_latent = model.schedule.latent_size
     b = grids[0].shape[0]
     with no_grad():
         f = np.zeros((b, model.config.embed_dim, n_latent, n_latent), dtype=model.config.np_dtype())
         for k, idx in enumerate(grids):
-            idx = np.asarray(idx)
             if idx.size and idx.max() >= model.codebook.vocab_size:
                 raise ContractError("token index out of codebook range")
             zq = _lookup(idx, model.codebook.embeddings).astype(f.dtype)

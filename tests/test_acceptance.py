@@ -9,6 +9,7 @@ module is deterministic.
 import dataclasses
 import math
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ def test_criterion_6_gradient_correctness():
                 continue
             flat = p.values.reshape(-1)
             grads = p.grad.reshape(-1)
-            picks = np.random.default_rng(hash(name) % 2**32).integers(
+            picks = np.random.default_rng(zlib.crc32(name.encode())).integers(
                 0, flat.size, size=min(per_tensor, flat.size))
             for i in picks:
                 orig = flat[i]

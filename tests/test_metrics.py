@@ -231,12 +231,14 @@ class TestEvaluate:
         assert np.array_equal(a, b)
         assert a.shape == (6, 8)
 
-    def test_embedding_independent_of_chunk_size(self, embedder):
+    def test_embedding_independent_of_chunk_size(self, embedder, monkeypatch):
         rng = np.random.default_rng(11)
         images = rng.random((70, 32, 32))
-        whole = embedder.embed(images, chunk=70)
+        monkeypatch.setattr(mx, "EMBED_CHUNK", 70)
+        whole = embedder.embed(images)
         for chunk in (1, 7, 32, 128):
-            assert embedder.embed(images, chunk=chunk).tobytes() == whole.tobytes()
+            monkeypatch.setattr(mx, "EMBED_CHUNK", chunk)
+            assert embedder.embed(images).tobytes() == whole.tobytes()
 
 
 def test_gaussian_stats_validation():

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from oracles import joint_logprob, joint_logprob_incremental
@@ -288,7 +290,7 @@ class TestTraining:
                 continue
             flat = p.values.reshape(-1)
             grad_flat = p.grad.reshape(-1)
-            picks = np.random.default_rng(hash(name) % 2**32).integers(
+            picks = np.random.default_rng(zlib.crc32(name.encode())).integers(
                 0, flat.size, size=min(6, flat.size))
             for i in picks:
                 orig = flat[i]

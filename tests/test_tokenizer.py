@@ -132,6 +132,18 @@ class TestEncodeDecode:
         with pytest.raises(ContractError):
             tok.decode_batch(desk_model, grids)
 
+    @pytest.mark.parametrize("shapes", [
+        [],
+        [(1, 2, 2), (1, 3, 3), (1, 5, 5), (1, 7, 7)],
+        [(1, n, n) for n in (1, 2, 3, 4, 5)],
+        [(2, 1, 1), (1, 2, 2)],
+        [(1, 1)],
+        [(1, 1, 1), (1, 2, 3)],
+    ], ids=["no_grid", "off_schedule", "five_grids", "mixed_batch", "unbatched", "not_square"])
+    def test_decode_rejects_grids_off_the_schedule(self, desk_model, shapes):
+        with pytest.raises(ContractError):
+            tok.decode_batch(desk_model, [np.zeros(shape, dtype=np.int64) for shape in shapes])
+
     def test_constant_index_decode_deterministic(self, desk_model):
         grids = [np.full((1, n, n), 5, dtype=np.int64) for n in (1, 2, 3, 4)]
         a = tok.decode_batch(desk_model, grids)

@@ -2,6 +2,7 @@
 package; a rename in src/ would break `perfbench/run.py --trace 1` unseen, as
 the default test run does not collect perfbench's own tests."""
 
+import inspect
 import os
 import sys
 
@@ -12,6 +13,19 @@ if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
 from perfbench.tracer import LAYER_TARGETS, OP_TARGETS, Tracer  # noqa: E402
+
+TARGETS = [(module, attr) for _, module, attr in LAYER_TARGETS]
+TARGETS += [(module, kind) for kind, module in OP_TARGETS.items()]
+
+# the parameter at each argument position perfbench's hooks and cost functions read
+READ_POSITIONS = {
+    ("mvgen.prior", "PriorModel.next_scale_logits"): {1: "prefix_grids"},
+    ("mvgen.prior", "PriorModel.forward_batch"): {2: "labels"},
+    ("mvgen.checkpoint", "write_checkpoint"): {0: "path"},
+    ("mvgen.numerics.tensor", "matmul"): {0: "a", 1: "b"},
+    ("mvgen.numerics.conv", "conv2d"): {0: "x", 1: "weight"},
+    ("mvgen.numerics.conv", "conv_transpose2d"): {0: "x", 1: "weight"},
+}
 
 
 def bindings() -> dict:
@@ -28,17 +42,22 @@ def bindings() -> dict:
 
 
 def test_every_traced_name_resolves_and_uninstall_restores_every_binding():
-    targets = [(module, attr) for _, module, attr in LAYER_TARGETS]
-    targets += [(module, kind) for kind, module in OP_TARGETS.items()]
     before = bindings()
-    originals = {target: Tracer._resolve(*target) for target in targets}
+    originals = {target: Tracer._resolve(*target) for target in TARGETS}
     tracer = Tracer()
     tracer.install()
     try:
-        wrapped = [t for t in targets if Tracer._resolve(*t) is not originals[t]]
+        wrapped = [t for t in TARGETS if Tracer._resolve(*t) is not originals[t]]
     finally:
         tracer.uninstall()
-    assert wrapped == targets
+    assert wrapped == TARGETS
     after = bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_every_argument_position_the_tracer_reads_keeps_its_parameter():
+    for (module, attr), reads in READ_POSITIONS.items():
+        assert (module, attr) in TARGETS
+        params = list(inspect.signature(Tracer._resolve(module, attr)).parameters)
+        assert {i: params[i] for i in reads} == reads, (module, attr)
