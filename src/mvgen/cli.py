@@ -64,7 +64,6 @@ class CorpusConfig:
 @dataclasses.dataclass
 class TokenizerTrainConfig:
     corpus_dir: str = "corpus"
-    resolution: int = 32
     schedule: tuple[int, ...] = (1, 2, 3, 4)
     vocab_size: int = 64
     embed_dim: int = 8
@@ -178,11 +177,16 @@ def cmd_datagen(args) -> int:
     return EXIT_OK
 
 
-def _resume(path: str, load, schedule, source: str):
-    """(model, train_step) from a checkpoint whose schedule must equal `schedule`."""
+def _resume(path: str, load, model_cfg):
+    """(model, train_step) from a checkpoint whose model config must equal
+    model_cfg, the one this run builds."""
     model, config = load(path)
-    if tuple(model.config.schedule) != tuple(schedule):
-        raise ConfigError(f"checkpoint schedule does not match the {source}")
+    differ = [f"{f.name} {getattr(model.config, f.name)!r} != {getattr(model_cfg, f.name)!r}"
+              for f in dataclasses.fields(model_cfg)
+              if getattr(model.config, f.name) != getattr(model_cfg, f.name)]
+    if differ:
+        raise ConfigError(f"{path}: the checkpoint's model config differs from this run's: "
+                          + "; ".join(differ))
     step = config.get("train_step", 0)
     if type(step) is not int or step < 0:
         raise ckpt.ArtifactError(f"{path}: train_step must be a non-negative integer, "
@@ -221,13 +225,11 @@ def _train(args, cfg, model, start_step: int, fit, save, extra: dict) -> int:
 
 def _train_tokenizer(args, data: dict) -> int:
     cfg = _train_config(TokenizerTrainConfig, data, "tokenizer training config")
-    model_cfg = ckpt.config_from(tok.TokenizerConfig, vars(cfg))
     corpus = dg.load_corpus(os.path.join(args.workdir, cfg.corpus_dir),
-                            dtype=model_cfg.np_dtype())
-    if corpus.resolution != cfg.resolution:
-        raise ConfigError(f"corpus resolution {corpus.resolution} != config {cfg.resolution}")
+                            dtype=tok.ModelConfig(dtype=cfg.dtype).np_dtype())
+    model_cfg = ckpt.config_from(tok.TokenizerConfig, vars(cfg), resolution=corpus.resolution)
     if args.resume:
-        model, start_step = _resume(args.resume, tok.load_tokenizer, cfg.schedule, "config")
+        model, start_step = _resume(args.resume, tok.load_tokenizer, model_cfg)
     else:
         model, start_step = tok.TokenizerModel.create(model_cfg, seed=cfg.model_seed), 0
 
@@ -258,7 +260,8 @@ def _train_prior(args, data: dict) -> int:
                                  schedule=tokenizer.config.schedule, n_labels=len(labels_cfg),
                                  code_dim=tokenizer.config.embed_dim)
     if args.resume:
-        model, start_step = _resume(args.resume, pr.load_prior, prior_cfg.schedule, "tokenizer")
+        model, start_step = _resume(args.resume, pr.load_prior, prior_cfg)
+        _check_codebook(args.resume, model, tok_path, tokenizer)
     else:
         model = pr.PriorModel.create(prior_cfg, tokenizer.codebook.embeddings,
                                      seed=cfg.model_seed)
@@ -279,11 +282,21 @@ def cmd_train(args) -> int:
     return train(args, _load_config_file(args.config))
 
 
+def _check_codebook(prior_path: str, model, tok_path: str, tokenizer) -> None:
+    """ConfigError unless the prior's code table is the tokenizer's codebook
+    (both are stored as float32, so the cast is exact)."""
+    codebook = tokenizer.codebook.embeddings.astype(model.code_table.dtype)
+    if not np.array_equal(model.code_table, codebook):
+        raise ConfigError(f"{prior_path} was trained on another codebook than {tok_path}'s")
+
+
 def _load_models(args):
     """The tokenizer and prior that args name, and the prior's id for args.label."""
-    tokenizer, _ = tok.load_tokenizer(os.path.join(args.workdir, args.tokenizer))
+    tok_path = os.path.join(args.workdir, args.tokenizer)
+    tokenizer, _ = tok.load_tokenizer(tok_path)
     prior_path = os.path.join(args.workdir, args.prior)
     model, prior_config = pr.load_prior(prior_path)
+    _check_codebook(prior_path, model, tok_path, tokenizer)
     by_name = {name: i for i, name in
                _header_labels(prior_path, prior_config, model.config.n_labels).items()}
     if args.label not in by_name:
@@ -344,10 +357,8 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.mode == "verify-table1":
-        print(json.dumps({"command": "bench verify-table1",
-                          "log_base": args.log_base}, sort_keys=True))
-        base = {"10": 10.0, "e": np.e}[args.log_base]
-        rows, worst = mx.verify_table1(log_base=base)
+        print(json.dumps({"command": "bench verify-table1"}))
+        rows, worst = mx.verify_table1()
         for row, value in rows:
             print(f"{row.model:12s} time={row.time_s:5.2f}s fid={row.fid:7.2f} "
                   f"published={row.efficiency:6.2f} recomputed={value:8.4f} "
@@ -454,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="verify the published efficiency table or measure locally")
     p.add_argument("mode", choices=["verify-table1", "measure"])
-    p.add_argument("--log-base", choices=["10", "e"], default="10",
-                   help="diagnostic: natural log visibly fails the table")
     p.add_argument("--workdir", default=".")
     p.add_argument("--tokenizer", default="tokenizer.mvckpt")
     p.add_argument("--prior", default="prior.mvckpt")

@@ -249,15 +249,8 @@ def load_table1() -> list[EfficiencyRow]:
     return rows
 
 
-def verify_table1(log_base: float = 10.0) -> tuple[list[tuple[EfficiencyRow, float]], float]:
-    """Recompute every row's efficiency; returns (rows with recomputed, max |dev|).
-
-    log_base exists as a diagnostic: natural log visibly fails the table.
-    """
-    results = []
-    worst = 0.0
-    for row in load_table1():
-        value = row.fid * (math.log(1.0 + row.time_s) / math.log(log_base)) ** EFFICIENCY_GAMMA
-        results.append((row, value))
-        worst = max(worst, abs(value - row.efficiency))
-    return results, worst
+def verify_table1() -> tuple[list[tuple[EfficiencyRow, float]], float]:
+    """Every row's efficiency recomputed by `efficiency`, the score `evaluate`
+    reports; returns (rows with recomputed, max |dev|)."""
+    results = [(row, efficiency(row.fid, row.time_s)) for row in load_table1()]
+    return results, max(abs(value - row.efficiency) for row, value in results)

@@ -48,7 +48,7 @@ from .numerics import (
     train_loop,
 )
 from .rng import rng_for
-from .tokenizer import EVAL_CHUNK, ModelConfig, ScaleSchedule
+from .tokenizer import EVAL_CHUNK, ModelConfig, ScaleSchedule, _check_grid
 
 MASK_BIAS = -1e9  # exp() underflows to exactly 0.0, so masking is bit-exact
 
@@ -198,8 +198,8 @@ class PriorModel:
         acc = (np.zeros((b, cfg.code_dim, n_latent, n_latent), dtype=dtype)
                if cache.acc is None else cache.acc)
         for j in range(max(first, 1), k_active):
-            n = self.schedule.sizes[j]
-            prev = np.asarray(prefix_grids[j - 1])
+            m, n = self.schedule.sizes[j - 1:j + 1]
+            prev = _check_grid(prefix_grids[j - 1], j - 1, (b, m, m), cfg.vocab_size)
             codes = self.code_table[prev].transpose(0, 3, 1, 2)  # (B, C, m, m)
             acc = acc + resize_bilinear(codes.astype(dtype), n_latent, n_latent).values
             up = resize_bilinear(acc, n, n).values
@@ -269,12 +269,16 @@ class PriorModel:
         return self._linear("head", x)
 
     def forward_batch(self, grids: Sequence[np.ndarray], labels: np.ndarray) -> Tensor:
-        """Teacher-forced logits (B, L, V) for full pyramids."""
-        if tuple(g.shape[-1] for g in grids) != self.schedule.sizes:
-            raise ContractError("pyramid does not match the schedule")
+        """Teacher-forced logits (B, L, V) for full pyramids: grid k is an
+        integer (B, n_k, n_k) array of codes in [0, V), B = len(labels)."""
+        sizes = self.schedule.sizes
+        if len(grids) != len(sizes):
+            raise ContractError(f"a pyramid has {len(sizes)} grids, not {len(grids)}")
         labels = np.asarray(labels, dtype=np.int64)
+        grids = [_check_grid(g, k, (len(labels), n, n), self.config.vocab_size)
+                 for k, (g, n) in enumerate(zip(grids, sizes))]
         cache = ScaleCache()
-        seq = self.embed_inputs([np.asarray(g) for g in grids[:-1]], labels, cache)
+        seq = self.embed_inputs(grids[:-1], labels, cache)
         return self._run(seq, take(self.params["cond_emb"], labels), cache)
 
     def next_scale_logits(self, prefix_grids: Sequence[np.ndarray], c: int,
@@ -311,8 +315,6 @@ def flatten_targets(grids: Sequence[np.ndarray]) -> np.ndarray:
 
 def batch_loss(model: PriorModel, grids: Sequence[np.ndarray], labels: np.ndarray) -> Tensor:
     """Summed cross-entropy over all scales, averaged per token."""
-    if any(np.asarray(g).max() >= model.config.vocab_size for g in grids):
-        raise ContractError("token index out of vocabulary range")
     logits = model.forward_batch(grids, labels)
     logp = log_softmax(logits)
     picked = take_along_last(logp, flatten_targets(grids))

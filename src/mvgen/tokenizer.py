@@ -104,10 +104,6 @@ class Codebook:
                    ema_counts=np.zeros(vocab_size, dtype=dtype),
                    ema_sums=np.zeros((vocab_size, embed_dim), dtype=dtype))
 
-    @property
-    def vocab_size(self) -> int:
-        return self.embeddings.shape[0]
-
 
 @dataclasses.dataclass(frozen=True)
 class TokenPyramid:
@@ -316,25 +312,33 @@ def encode_batch(model: TokenizerModel, images: np.ndarray) -> list[np.ndarray]:
         return [idx for _, idx, *_ in _walk(model, images)[1]]
 
 
+def _check_grid(grid, k: int, shape: tuple, vocab_size: int) -> np.ndarray:
+    """grid as an array; ContractError unless it is scale k's integer grid of
+    `shape`, (B, n_k, n_k), holding codes in [0, vocab_size)."""
+    grid = np.asarray(grid)
+    if grid.shape != shape:
+        raise ContractError(f"grid {k} has shape {grid.shape}, expected {shape}")
+    if grid.dtype.kind not in "iu":
+        raise ContractError(f"grid {k} holds {grid.dtype} values, not integer codes")
+    if grid.size and (grid.min() < 0 or grid.max() >= vocab_size):
+        raise ContractError(f"grid {k} holds codes outside [0, {vocab_size})")
+    return grid
+
+
 def decode_batch(model: TokenizerModel, grids: Sequence[np.ndarray]) -> np.ndarray:
     """Per-scale index grids -> images (B, R, R) clamped to [0, 1]; grid k is
     (B, n_k, n_k), and the first k grids alone reconstruct from the first k scales."""
     sizes = model.schedule.sizes
     if not 1 <= len(grids) <= len(sizes):
         raise ContractError(f"decode takes 1 to {len(sizes)} grids, got {len(grids)}")
-    grids = [np.asarray(idx) for idx in grids]
-    lead = grids[0].shape[:1]
-    for k, idx in enumerate(grids):
-        want = lead + (sizes[k], sizes[k])
-        if idx.shape != want:
-            raise ContractError(f"grid {k} has shape {idx.shape}, expected {want}")
+    lead = np.shape(grids[0])[:1]
+    grids = [_check_grid(idx, k, lead + (sizes[k], sizes[k]), model.config.vocab_size)
+             for k, idx in enumerate(grids)]
     n_latent = model.schedule.latent_size
     b = grids[0].shape[0]
     with no_grad():
         f = np.zeros((b, model.config.embed_dim, n_latent, n_latent), dtype=model.config.np_dtype())
         for k, idx in enumerate(grids):
-            if idx.size and idx.max() >= model.codebook.vocab_size:
-                raise ContractError("token index out of codebook range")
             zq = _lookup(idx, model.codebook.embeddings).astype(f.dtype)
             f = f + model.phi(k, resize_bilinear(zq, n_latent, n_latent)).values
         out = model.decoder_forward(as_tensor(f)).values[:, 0]
@@ -456,9 +460,9 @@ def init_codebook_from_data(model: TokenizerModel, batch: np.ndarray, seed: int)
     if not np.isfinite(pool).all():
         raise NumericError("codebook warm start received non-finite features")
     rng = rng_for(seed, "codebook-warm")
-    picks = rng.choice(pool.shape[0], size=model.codebook.vocab_size,
-                       replace=pool.shape[0] < model.codebook.vocab_size)
-    jitter = rng.normal(0, 1e-3, size=(model.codebook.vocab_size, model.config.embed_dim))
+    picks = rng.choice(pool.shape[0], size=model.config.vocab_size,
+                       replace=pool.shape[0] < model.config.vocab_size)
+    jitter = rng.normal(0, 1e-3, size=(model.config.vocab_size, model.config.embed_dim))
     model.codebook.embeddings = (pool[picks] + jitter).astype(dtype)
 
 
@@ -520,7 +524,7 @@ def codebook_usage(model: TokenizerModel, images: np.ndarray) -> tuple[np.ndarra
     """
     if images.shape[0] == 0:
         raise ContractError("codebook_usage needs a non-empty eval set")
-    v = model.codebook.vocab_size
+    v = model.config.vocab_size
     counts = np.zeros(v, dtype=np.int64)
     for lo in range(0, images.shape[0], EVAL_CHUNK):
         grids = encode_batch(model, images[lo:lo + EVAL_CHUNK])

@@ -1,7 +1,7 @@
 """Every mvgen command on a small workdir, with the files it writes and the
 src/ statements no command runs (not collected by pytest).
 
-Runs datagen, both trainings, a resume, guided, unguided, truncated and greedy
+Runs datagen, both trainings, a resume of each, guided, unguided, truncated and greedy
 samples with token streams, eval, both bench modes and inspect-codebook
 in-process on tests/test_cli.py's SMALL configs, in a temporary workdir, once
 in float32 and once in float64, all under the stdlib `trace` module's line
@@ -49,6 +49,9 @@ def run_commands(root: str) -> None:
         configs = {
             "corpus.json": tc.SMALL_CORPUS,
             "tok.json": dict(tc.SMALL_TOKENIZER, dtype=dtype),
+            "resume_tok.json": dict(tc.SMALL_TOKENIZER, dtype=dtype, steps=50,
+                                    checkpoint="tokenizer_resumed.mvckpt",
+                                    loss_csv="tokenizer_resumed_loss.csv"),
             "prior.json": dict(tc.SMALL_PRIOR, dtype=dtype),
             "resume.json": dict(tc.SMALL_PRIOR, dtype=dtype, steps=45,
                                 checkpoint="prior_resumed.mvckpt",
@@ -62,6 +65,8 @@ def run_commands(root: str) -> None:
         commands = [
             ("datagen", *at, "--config", os.path.join(work, "corpus.json")),
             ("train", "tokenizer", *at, "--config", os.path.join(work, "tok.json")),
+            ("train", "tokenizer", *at, "--config", os.path.join(work, "resume_tok.json"),
+             "--resume", os.path.join(work, "tokenizer.mvckpt")),
             ("train", "prior", *at, "--config", os.path.join(work, "prior.json")),
             ("train", "prior", *at, "--config", os.path.join(work, "resume.json"),
              "--resume", os.path.join(work, "prior.mvckpt")),

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from mvgen import checkpoint as ckpt
 from mvgen import cli, pgmio
+from mvgen import metrics as mx
 from mvgen import prior as pr
 from mvgen import tokenizer as tok
 from mvgen.numerics import ContractError
@@ -33,7 +35,6 @@ SMALL_CORPUS = {
 }
 
 SMALL_TOKENIZER = {
-    "resolution": 16,
     "schedule": [1, 2],
     "vocab_size": 16,
     "embed_dim": 4,
@@ -197,6 +198,26 @@ class TestTrain:
         assert out.returncode == 2
         assert "schedule" in out.stderr
 
+    def test_tokenizer_resume_on_a_corpus_of_another_resolution_exits_2(self, workdir, tmp_path):
+        write_json(tmp_path / "corpus.json", dict(SMALL_CORPUS, per_label=2, resolution=32))
+        run_cli("datagen", "--workdir", str(tmp_path), "--config", str(tmp_path / "corpus.json"))
+        write_json(tmp_path / "t.json", SMALL_TOKENIZER)
+        out = run_cli("train", "tokenizer", "--workdir", str(tmp_path),
+                      "--config", str(tmp_path / "t.json"),
+                      "--resume", str(workdir / "tokenizer.mvckpt"))
+        assert_rejected(out, f"{workdir / 'tokenizer.mvckpt'}: the checkpoint's model config "
+                             "differs from this run's: resolution 16 != 32")
+        assert not (tmp_path / "tokenizer.mvckpt").exists()
+
+    def test_prior_resume_with_another_depth_exits_2(self, workdir, tmp_path):
+        write_json(tmp_path / "p.json", dict(SMALL_PRIOR, depth=2, corpus_dir=str(workdir / "corpus"),
+                                             tokenizer_checkpoint=str(workdir / "tokenizer.mvckpt")))
+        out = run_cli("train", "prior", "--workdir", str(tmp_path),
+                      "--config", str(tmp_path / "p.json"),
+                      "--resume", str(workdir / "prior.mvckpt"))
+        assert_rejected(out, "differs from this run's: depth 1 != 2")
+        assert not (tmp_path / "prior.mvckpt").exists()
+
     def test_prior_resume_is_bit_exact(self, workdir, tmp_path):
         write_json(tmp_path / "corpus.json", SMALL_CORPUS)
         run_cli("datagen", "--workdir", str(tmp_path), "--config", str(tmp_path / "corpus.json"))
@@ -349,6 +370,30 @@ def test_mistyped_train_step_resume_exits_2(workdir, tmp_path, step):
                   "--config", str(tmp_path / "t.json"), "--resume", str(tmp_path / "resume.mvckpt"))
     assert_rejected(out, f"resume.mvckpt: train_step must be a non-negative integer, "
                          f"not {json.dumps(step)}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--label", "ring_with_core", "--count", "1", "--tokenizer", "tok2.mvckpt"),
+    ("bench", "measure", "--count", "2", "--tokenizer", "tok2.mvckpt"),
+    ("train", "prior", "--config", "{tmp}/p.json"),
+], ids=["sample", "bench_measure", "train_prior_resume"])
+def test_a_prior_with_another_tokenizer_exits_2(workdir, tmp_path, argv):
+    """tok2.mvckpt has the workdir tokenizer's config but another model_seed."""
+    write_json(tmp_path / "t.json", dict(SMALL_TOKENIZER, corpus_dir=str(workdir / "corpus"),
+                                         model_seed=12, steps=0, checkpoint="tok2.mvckpt"))
+    out = run_cli("train", "tokenizer", "--workdir", str(tmp_path),
+                  "--config", str(tmp_path / "t.json"))
+    assert out.returncode == 0, out.stderr
+    write_json(tmp_path / "p.json", dict(SMALL_PRIOR, corpus_dir=str(workdir / "corpus"),
+                                         tokenizer_checkpoint="tok2.mvckpt"))
+    prior = str(workdir / "prior.mvckpt")
+    flag = "--resume" if argv[0] == "train" else "--prior"
+    out = run_cli(*(a.format(tmp=tmp_path) for a in argv), "--workdir", str(tmp_path),
+                  flag, prior)
+    assert_rejected(out, f"{prior} was trained on another codebook than "
+                         f"{tmp_path / 'tok2.mvckpt'}'s")
+    assert sorted(os.listdir(tmp_path)) == ["p.json", "t.json", "tok2.mvckpt",
+                                            "tok2.mvckpt.config.json", "tokenizer_loss.csv"]
 
 
 def sample_rewritten(workdir, tmp_path, name, edit):
@@ -668,10 +713,13 @@ class TestBench:
         worst = float(out.stdout.rsplit("max absolute deviation:", 1)[1].split()[0])
         assert worst <= 0.05
 
-    def test_verify_table1_natural_log_fails(self):
-        out = run_cli("bench", "verify-table1", "--log-base", "e")
-        assert out.returncode == 3
-        worst = float(out.stdout.rsplit("max absolute deviation:", 1)[1].split()[0])
+    def test_verify_table1_natural_log_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(mx, "efficiency",
+                            lambda q, p: q * math.log(1.0 + p) ** mx.EFFICIENCY_GAMMA)
+        assert cli.main(["bench", "verify-table1"]) == 3
+        out = capsys.readouterr()
+        assert out.err == "verification FAILED\n"
+        worst = float(out.out.rsplit("max absolute deviation:", 1)[1].split()[0])
         assert worst > 5.0
 
     def test_measure_reports_2k_passes(self, workdir):
@@ -722,16 +770,29 @@ class TestInspectCodebook:
         assert_rejected(out, "mixed image sizes")
 
 
-def test_rerun_with_echoed_config_reproduces_artifacts(tmp_path):
-    write_json(tmp_path / "c.json", dict(SMALL_CORPUS, per_label=4))
-    out = run_cli("datagen", "--workdir", str(tmp_path), "--config", str(tmp_path / "c.json"))
-    assert out.returncode == 0
-    first = dir_hash(tmp_path / "corpus")
-    echoed = json.loads((tmp_path / "corpus" / "corpus_config.json").read_text())["corpus"]
+@pytest.mark.parametrize("command", [("datagen",), ("train", "tokenizer"), ("train", "prior")],
+                         ids=["datagen", "tokenizer", "prior"])
+def test_rerun_with_echoed_config_reproduces_artifacts(workdir, tmp_path, command):
+    """Every file the command writes, its config echo included, byte for byte."""
+    inputs = {"corpus_dir": str(workdir / "corpus"),
+              "tokenizer_checkpoint": str(workdir / "tokenizer.mvckpt")}
+    key = command[-1] if command[0] == "train" else "corpus"
+    config, echo = {
+        "corpus": (dict(SMALL_CORPUS, per_label=4), "corpus/corpus_config.json"),
+        "tokenizer": (dict(SMALL_TOKENIZER, corpus_dir=inputs["corpus_dir"]),
+                      "tokenizer.mvckpt.config.json"),
+        "prior": (dict(SMALL_PRIOR, **inputs), "prior.mvckpt.config.json"),
+    }[key]
+    write_json(tmp_path / "given.json", config)
+    out = run_cli(*command, "--workdir", str(tmp_path), "--config", str(tmp_path / "given.json"))
+    assert out.returncode == 0, out.stderr
+    skip = ("given.json", "echoed.json")
+    first = dir_hash(tmp_path, skip_suffixes=skip)
+    echoed = json.loads((tmp_path / echo).read_text())[key]
     write_json(tmp_path / "echoed.json", echoed)
-    out = run_cli("datagen", "--workdir", str(tmp_path), "--config", str(tmp_path / "echoed.json"))
-    assert out.returncode == 0
-    assert dir_hash(tmp_path / "corpus") == first
+    out = run_cli(*command, "--workdir", str(tmp_path), "--config", str(tmp_path / "echoed.json"))
+    assert out.returncode == 0, out.stderr
+    assert dir_hash(tmp_path, skip_suffixes=skip) == first
 
 
 @pytest.mark.parametrize("script", ["acceptance_margins", "cli_traffic"])

@@ -219,6 +219,14 @@ class TestScaleCache:
         with pytest.raises(ContractError):
             model.next_scale_logits([], 0, cache)
 
+    @pytest.mark.parametrize("grid", [np.zeros((3, 3), dtype=np.int64), np.array([[-1]]),
+                                      np.array([[64]])],
+                             ids=["off_schedule", "negative_code", "code_past_vocabulary"])
+    def test_prefix_grid_off_the_rule_rejected(self, grid):
+        model = make_model(schedule=(1, 2, 3, 4), vocab=64)
+        with pytest.raises(ContractError, match="grid 0"):
+            model.next_scale_logits([grid], 0)
+
     def test_other_condition_rejected(self):
         model = make_model()
         cache = pr.ScaleCache(0)
@@ -266,6 +274,18 @@ class TestTraining:
         model = make_model(vocab=16)
         grids = [np.full((2, n, n), 16, dtype=np.int64) for n in (1, 2, 3)]
         with pytest.raises(ContractError):
+            pr.batch_loss(model, grids, np.array([0, 1]))
+
+    @pytest.mark.parametrize("edit", [
+        lambda grids: grids[2].__setitem__((0, 0, 0), -1),
+        lambda grids: grids.__setitem__(1, grids[1] + 0.0),
+        lambda grids: grids.__setitem__(3, grids[3][:1]),
+    ], ids=["negative_code", "non_integer", "mixed_batch"])
+    def test_batch_loss_rejects_a_malformed_grid(self, edit):
+        model = make_model(schedule=(1, 2, 3, 4), vocab=64)
+        grids = [np.zeros((2, n, n), dtype=np.int64) for n in (1, 2, 3, 4)]
+        edit(grids)
+        with pytest.raises(ContractError, match="grid"):
             pr.batch_loss(model, grids, np.array([0, 1]))
 
     def test_gradients_match_finite_differences(self):

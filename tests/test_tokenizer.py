@@ -144,6 +144,11 @@ class TestEncodeDecode:
         with pytest.raises(ContractError):
             tok.decode_batch(desk_model, [np.zeros(shape, dtype=np.int64) for shape in shapes])
 
+    @pytest.mark.parametrize("fill", [-1, 0.5], ids=["negative", "non_integer"])
+    def test_decode_rejects_codes_that_are_not_codebook_rows(self, desk_model, fill):
+        with pytest.raises(ContractError, match="grid 0 holds"):
+            tok.decode_batch(desk_model, [np.full((1, n, n), fill) for n in (1, 2, 3, 4)])
+
     def test_constant_index_decode_deterministic(self, desk_model):
         grids = [np.full((1, n, n), 5, dtype=np.int64) for n in (1, 2, 3, 4)]
         a = tok.decode_batch(desk_model, grids)
