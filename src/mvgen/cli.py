@@ -178,8 +178,8 @@ def cmd_datagen(args) -> int:
 
 
 def _resume(path: str, load, model_cfg):
-    """(model, train_step) from a checkpoint whose model config must equal
-    model_cfg, the one this run builds."""
+    """(model, train_step, header config) from a checkpoint whose model
+    config must equal model_cfg, the one this run builds."""
     model, config = load(path)
     differ = [f"{f.name} {getattr(model.config, f.name)!r} != {getattr(model_cfg, f.name)!r}"
               for f in dataclasses.fields(model_cfg)
@@ -191,7 +191,7 @@ def _resume(path: str, load, model_cfg):
     if type(step) is not int or step < 0:
         raise ckpt.ArtifactError(f"{path}: train_step must be a non-negative integer, "
                                  f"not {json.dumps(step)}")
-    return model, step
+    return model, step, config
 
 
 def _train(args, cfg, model, start_step: int, fit, save, extra: dict) -> int:
@@ -229,7 +229,7 @@ def _train_tokenizer(args, data: dict) -> int:
                             dtype=tok.ModelConfig(dtype=cfg.dtype).np_dtype())
     model_cfg = ckpt.config_from(tok.TokenizerConfig, vars(cfg), resolution=corpus.resolution)
     if args.resume:
-        model, start_step = _resume(args.resume, tok.load_tokenizer, model_cfg)
+        model, start_step, _ = _resume(args.resume, tok.load_tokenizer, model_cfg)
     else:
         model, start_step = tok.TokenizerModel.create(model_cfg, seed=cfg.model_seed), 0
 
@@ -260,7 +260,11 @@ def _train_prior(args, data: dict) -> int:
                                  schedule=tokenizer.config.schedule, n_labels=len(labels_cfg),
                                  code_dim=tokenizer.config.embed_dim)
     if args.resume:
-        model, start_step = _resume(args.resume, pr.load_prior, prior_cfg)
+        model, start_step, header = _resume(args.resume, pr.load_prior, prior_cfg)
+        resumed_labels = _header_labels(args.resume, header, prior_cfg.n_labels)
+        if resumed_labels != corpus.label_names:
+            raise ConfigError(f"{args.resume}: the checkpoint's labels {resumed_labels} differ "
+                              f"from the corpus's {corpus.label_names}")
         _check_codebook(args.resume, model, tok_path, tokenizer)
     else:
         model = pr.PriorModel.create(prior_cfg, tokenizer.codebook.embeddings,

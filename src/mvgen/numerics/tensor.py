@@ -384,11 +384,10 @@ def reshape(a, shape) -> Tensor:
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
-    out = np.transpose(a.values, axes)
-    inverse = tuple(np.argsort(axes))
+    out = a.values.transpose(axes)
 
     def backward(g):
-        a._accum(np.transpose(g, inverse))
+        a._accum(g.transpose(np.argsort(axes)))
 
     return _make(out, (a,), backward, "transpose")
 
@@ -511,18 +510,29 @@ def linear(x, w, b) -> Tensor:
 # -- normalization and softmax ------------------------------------------------
 
 
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=-1, keepdims=True) as numpy computes it: the sum, divided
+    in place by the count as an intp (a float64 divide for float32 sums)."""
+    total = np.add.reduce(x, axis=-1, keepdims=True)
+    return np.true_divide(total, np.intp(x.shape[-1]), out=total, casting="unsafe")
+
+
 def layernorm(a) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (eps 1e-5, no affine)."""
+    """Normalize the last axis to zero mean / unit variance (eps 1e-5, no affine).
+
+    The statistics take numpy's `mean` and `var` steps in their order,
+    without numpy's Python wrappers: var(c) is mean((c - mean(c))**2)."""
     a = as_tensor(a)
     x = a.values
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    inv = 1.0 / np.sqrt(centered.var(axis=-1, keepdims=True) + 1e-5)
+    centered = x - _mean_last(x)
+    dev = centered - _mean_last(centered)
+    var = _mean_last(np.square(dev, out=dev))
+    var += 1e-5
+    inv = np.true_divide(1.0, np.sqrt(var, out=var), out=var)
     out = centered * inv
 
     def backward(g):
-        a._accum(inv * (g - g.mean(axis=-1, keepdims=True)
-                        - out * (g * out).mean(axis=-1, keepdims=True)))
+        a._accum(inv * (g - _mean_last(g) - out * _mean_last(g * out)))
 
     return _make(out, (a,), backward, "layernorm")
 

@@ -6,8 +6,11 @@ of its own and all coarser scales), so logits at scale k depend only on grids
 strictly coarser than k plus the dataset-label condition, and the keys and
 values of a finished scale never change: every forward walks a `ScaleCache`,
 and one that holds the coarser scales runs only the new scale's rows against
-them (a fresh one runs the whole prefix). Inputs for scale 1 are the
-condition embedding; inputs for scale k>1 are the sum of the code
+them (a fresh one runs the whole prefix). A walk keeps what its later passes
+would only recompute: the condition's AdaLN modulations and each block's keys
+and values, in arrays a pass writes its rows into. A pass of exactly one
+scale adds no mask, as its block of the mask is all zeros. Inputs for scale
+1 are the condition embedding; inputs for scale k>1 are the sum of the code
 embeddings of all coarser scales, each upsampled to the finest grid, then
 resized to the scale-k grid and linearly projected (a residual code alone says
 little of the image so far). The sum is of raw codebook rows: the tokenizer's
@@ -84,16 +87,23 @@ class ScaleCache:
 
     Under the block-causal mask the keys and values of finished scales are
     final, so a forward runs only the rows after the scales the cache holds
-    against them; a fresh cache holds none, so the whole prefix runs. Holds
-    each block's keys and values for the rows already run, the latent
-    accumulator of upsampled code embeddings, and the number of scales done.
-    `condition` is the one condition a `next_scale_logits` walk is built for.
+    against them; a fresh cache holds none, so the whole prefix runs. What
+    depends only on the condition and the weights is computed on the walk's
+    first pass and kept: `modulations`, each block's six AdaLN chunks (the
+    scales with their + 1 applied) and the final layer's two. `keys` and
+    `values` are each block's (B, heads, L, hd) arrays over the whole
+    schedule: a pass writes its own rows and a later pass reads the rows up
+    to its end. A pass that covers the whole schedule keeps none. `acc` is the
+    latent accumulator of upsampled code embeddings. So a cache is valid for
+    one set of weights; `condition` is the one condition a
+    `next_scale_logits` walk is built for.
     """
     condition: int | None = None
     scales_done: int = 0
     acc: np.ndarray | None = None
-    keys: dict[int, Tensor] = dataclasses.field(default_factory=dict)
-    values: dict[int, Tensor] = dataclasses.field(default_factory=dict)
+    modulations: list[tuple[Tensor, ...]] = dataclasses.field(default_factory=list)
+    keys: dict[int, np.ndarray] = dataclasses.field(default_factory=dict)
+    values: dict[int, np.ndarray] = dataclasses.field(default_factory=dict)
 
 
 def build_mask(schedule: ScaleSchedule) -> np.ndarray:
@@ -238,34 +248,54 @@ class PriorModel:
         q = l2_normalize(project("wq"))
         k = l2_normalize(project("wk"))
         v = project("wv")
-        if i in cache.keys:
-            k = concat([cache.keys[i], k], axis=2)
-            v = concat([cache.values[i], v], axis=2)
-        cache.keys[i], cache.values[i] = k, v
-        start = self._offsets[cache.scales_done]
+        done = cache.scales_done
+        start = self._offsets[done]
         end = start + rows
+        length = self.schedule.token_count
+        if start > 0 or end < length:
+            if start == 0:
+                cache.keys[i] = np.empty((b, heads, length, hd), dtype=k.values.dtype)
+                cache.values[i] = np.empty((b, heads, length, hd), dtype=v.values.dtype)
+            cache.keys[i][:, :, start:end] = k.values
+            cache.values[i][:, :, start:end] = v.values
+            if start > 0:
+                # only no_grad passes follow the first, so the rows before
+                # this pass's need no graph
+                k = as_tensor(cache.keys[i][:, :, :end])
+                v = as_tensor(cache.values[i][:, :, :end])
         temp = self.params[f"block{i}.temp"].reshape(1, heads, 1, 1)
         scores = (q @ k.transpose(0, 1, 3, 2)) * temp
-        scores = scores + as_tensor(self._mask_bias[start:end, :end])
+        if end != self._offsets[done + 1]:
+            # one scale's rows see every row up to their end, so its mask
+            # block is all zeros; adding it could only turn a -0 score into
+            # +0, which softmax maps to the same exp(0) = 1
+            scores = scores + as_tensor(self._mask_bias[start:end, :end])
         att = softmax(scores)
         mixed = (att @ v).transpose(0, 2, 1, 3).reshape(b, rows, cfg.width)
         return self._linear(f"block{i}.wo", mixed)
 
-    def _run(self, seq: Tensor, cond: Tensor, cache: ScaleCache) -> Tensor:
-        """(B, L', W) inputs + (B, W) condition -> (B, L', V) logits for the
-        rows after the scales the cache holds."""
+    def _run(self, seq: Tensor, labels: np.ndarray, cache: ScaleCache) -> Tensor:
+        """(B, L', W) inputs + B condition indices -> (B, L', V) logits for
+        the rows after the scales the cache holds."""
+        cfg = self.config
+        if not cache.modulations:
+            cond = take(self.params["cond_emb"], labels).reshape(len(labels), 1, cfg.width)
+            for i in range(cfg.depth):
+                g1, b1, a1, g2, b2, a2 = self._modulation(cond, f"block{i}.adaln", 6)
+                cache.modulations.append((g1 + 1.0, b1, a1, g2 + 1.0, b2, a2))
+            gf, bf = self._modulation(cond, "final.adaln", 2)
+            cache.modulations.append((gf + 1.0, bf))
         x = seq
-        cond = cond.reshape(cond.shape[0], 1, self.config.width)
-        for i in range(self.config.depth):
-            g1, b1, a1, g2, b2, a2 = self._modulation(cond, f"block{i}.adaln", 6)
-            h = layernorm(x) * (g1 + 1.0) + b1
+        for i in range(cfg.depth):
+            g1, b1, a1, g2, b2, a2 = cache.modulations[i]
+            h = layernorm(x) * g1 + b1
             x = x + a1 * self._attention(i, h, cache)
-            h = layernorm(x) * (g2 + 1.0) + b2
+            h = layernorm(x) * g2 + b2
             ffn = gelu(self._linear(f"block{i}.ffn1", h))
             ffn = self._linear(f"block{i}.ffn2", ffn)
             x = x + a2 * ffn
-        gf, bf = self._modulation(cond, "final.adaln", 2)
-        x = layernorm(x) * (gf + 1.0) + bf
+        gf, bf = cache.modulations[-1]
+        x = layernorm(x) * gf + bf
         return self._linear("head", x)
 
     def forward_batch(self, grids: Sequence[np.ndarray], labels: np.ndarray) -> Tensor:
@@ -278,8 +308,7 @@ class PriorModel:
         grids = [_check_grid(g, k, (len(labels), n, n), self.config.vocab_size)
                  for k, (g, n) in enumerate(zip(grids, sizes))]
         cache = ScaleCache()
-        seq = self.embed_inputs(grids[:-1], labels, cache)
-        return self._run(seq, take(self.params["cond_emb"], labels), cache)
+        return self._run(self.embed_inputs(grids[:-1], labels, cache), labels, cache)
 
     def next_scale_logits(self, prefix_grids: Sequence[np.ndarray], c: int,
                           cache: ScaleCache | None = None) -> np.ndarray:
@@ -288,7 +317,8 @@ class PriorModel:
         Without a cache a fresh one runs the whole prefix. A caller's cache
         must be built for c and hold the len(prefix) scales before; then only
         the new scale's rows run. Either way the cache advances past that
-        scale, and the logits are the same.
+        scale. The two agree to rounding: each product runs another number
+        of rows, so their bits are equal only while the AdaLN gates are zero.
         """
         k = len(prefix_grids)
         if cache is None:
@@ -297,11 +327,10 @@ class PriorModel:
             raise ContractError(f"cache built for condition {cache.condition}, not {c}")
         elif cache.scales_done != k:
             raise ContractError(f"cache holds {cache.scales_done} scales, the prefix {k}")
+        labels = np.array([c])
         with no_grad():
-            seq = self.embed_inputs([np.asarray(g)[None] for g in prefix_grids],
-                                    np.array([c]), cache)
-            cond = take(self.params["cond_emb"], np.array([c]))
-            logits = self._run(seq, cond, cache).values[0]
+            seq = self.embed_inputs([np.asarray(g)[None] for g in prefix_grids], labels, cache)
+            logits = self._run(seq, labels, cache).values[0]
         cache.scales_done = k + 1
         n = self.schedule.sizes[k]
         return logits[-n * n:]

@@ -1,6 +1,7 @@
 """Reference code, apart from the package it checks, that the tests judge mvgen
-against: the scalar quantizer, a pyramid's joint log-likelihood whole and scale
-by scale, and the geometry detectors (not collected by pytest)."""
+against: the scalar quantizer, layernorm in numpy's own reductions, a pyramid's
+joint log-likelihood whole and scale by scale, and the geometry detectors (not
+collected by pytest)."""
 
 import numpy as np
 
@@ -21,6 +22,18 @@ def quantize(vec: np.ndarray, codebook: Codebook) -> int:
         raise NumericError("quantize received non-finite input")
     deltas = codebook.embeddings.astype(np.float64) - vec[None, :]
     return int(np.argmin((deltas * deltas).sum(axis=1)))
+
+
+def layernorm(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Layernorm over the last axis written with numpy's `mean` and `var`:
+    the forward values of x, and the input gradient for the output gradient g."""
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    inv = 1.0 / np.sqrt(centered.var(axis=-1, keepdims=True) + 1e-5)
+    out = centered * inv
+    grad = inv * (g - g.mean(axis=-1, keepdims=True)
+                  - out * (g * out).mean(axis=-1, keepdims=True))
+    return out, grad
 
 
 def _realized_logprob(logits: np.ndarray, flat: np.ndarray) -> float:

@@ -372,6 +372,31 @@ def test_mistyped_train_step_resume_exits_2(workdir, tmp_path, step):
                          f"not {json.dumps(step)}")
 
 
+def test_prior_resume_with_swapped_labels_exits_2(workdir, tmp_path):
+    """A prior whose header names ids 0 and 2 the other way round learned each
+    of them for the other label; resuming it on the corpus would train on."""
+    base = dict(SMALL_PRIOR, corpus_dir=str(workdir / "corpus"),
+                tokenizer_checkpoint=str(workdir / "tokenizer.mvckpt"))
+    write_json(tmp_path / "p4.json", dict(base, steps=4, checkpoint="p4.mvckpt",
+                                          loss_csv="p4.csv"))
+    out = run_cli("train", "prior", "--workdir", str(tmp_path),
+                  "--config", str(tmp_path / "p4.json"))
+    assert out.returncode == 0, out.stderr
+    config, arrays = ckpt.read_checkpoint(tmp_path / "p4.mvckpt")
+    corpus_labels = {int(k): v for k, v in config["labels"].items()}
+    swapped = dict(config["labels"], **{"0": config["labels"]["2"], "2": config["labels"]["0"]})
+    ckpt.write_checkpoint(tmp_path / "swapped.mvckpt", dict(config, labels=swapped), arrays)
+    write_json(tmp_path / "p8.json", dict(base, steps=8))
+    before = sorted(os.listdir(tmp_path))
+    out = run_cli("train", "prior", "--workdir", str(tmp_path),
+                  "--config", str(tmp_path / "p8.json"),
+                  "--resume", str(tmp_path / "swapped.mvckpt"))
+    swapped_labels = {int(k): v for k, v in swapped.items()}
+    assert_rejected(out, f"{tmp_path / 'swapped.mvckpt'}: the checkpoint's labels "
+                         f"{swapped_labels} differ from the corpus's {corpus_labels}")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 @pytest.mark.parametrize("argv", [
     ("sample", "--label", "ring_with_core", "--count", "1", "--tokenizer", "tok2.mvckpt"),
     ("bench", "measure", "--count", "2", "--tokenizer", "tok2.mvckpt"),

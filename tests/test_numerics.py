@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import layernorm as numpy_layernorm
 
 from mvgen import numerics as nx
 from mvgen.numerics.tensor import _unbroadcast
@@ -211,6 +212,29 @@ def test_gelu_gradient_has_the_unfused_bits_and_no_grad_builds_no_derivative():
             y_no_grad = nx.gelu(x)
         assert y_no_grad._backward is None and not y_no_grad.requires_grad
         assert y_no_grad.values.tobytes() == y.values.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [1, 8, 128])
+def test_layernorm_has_the_bits_of_numpy_mean_and_var(width, dtype):
+    """Random rows, constant rows (variance 0), rows 1e4 off zero and signed
+    zeros: forward values and input gradient equal the numpy oracle's bytes."""
+    rng = np.random.default_rng(width)
+    x_val = np.concatenate([
+        rng.normal(size=(4, width)),
+        np.full((2, width), -3.25),
+        1e4 + rng.normal(size=(3, width)),
+        np.where(np.arange(width) % 2 == 0, -0.0, 0.0)[None],
+    ]).astype(dtype).reshape(2, 5, width)
+    g = rng.normal(size=x_val.shape).astype(dtype)
+    g[0, 0, 0] = -0.0
+    x = nx.Tensor(x_val.copy(), requires_grad=True)
+    out = nx.layernorm(x)
+    (out * nx.Tensor(g)).sum().backward()
+    want_out, want_grad = numpy_layernorm(x_val, g)
+    assert out.values.dtype == dtype and x.grad.dtype == dtype
+    assert out.values.tobytes() == want_out.tobytes()
+    assert x.grad.tobytes() == want_grad.tobytes()
 
 
 def test_leaves_fed_by_one_add_own_their_gradients_through_clipping():

@@ -10,10 +10,10 @@ from mvgen.tokenizer import PAPER_SCHEDULE, ScaleSchedule, TokenPyramid
 
 
 def make_model(schedule=(1, 2, 3), vocab=16, n_labels=3, depth=2, width=32,
-               heads=2, code_dim=4, seed=1, p_drop=0.1):
+               heads=2, code_dim=4, seed=1, p_drop=0.1, dtype="float64"):
     cfg = pr.PriorConfig(depth=depth, width=width, heads=heads, vocab_size=vocab,
                          schedule=schedule, n_labels=n_labels, code_dim=code_dim,
-                         cond_dropout_p=p_drop)
+                         cond_dropout_p=p_drop, dtype=dtype)
     table = np.random.default_rng(seed).normal(size=(vocab, code_dim))
     return pr.PriorModel.create(cfg, table, seed=seed)
 
@@ -26,8 +26,19 @@ def random_pyramid(model, seed=0):
 
 def nonzero_head(model, seed=0):
     rng = np.random.default_rng(seed)
-    model.params["head.w"].values = rng.normal(0, 0.05, size=model.params["head.w"].shape)
-    model.params["head.b"].values = rng.normal(0, 0.05, size=model.params["head.b"].shape)
+    for name in ("head.w", "head.b"):
+        param = model.params[name]
+        param.values = rng.normal(0, 0.05, size=param.shape).astype(param.values.dtype)
+    return model
+
+
+def perturbed(model, seed=0):
+    """Every weight moved off its initial value, so AdaLN's gates, which start
+    at zero, pass each block's attention and FFN through to the logits."""
+    rng = np.random.default_rng(seed)
+    for param in model.params.values():
+        param.values = (param.values + rng.normal(0, 0.05, size=param.values.shape)
+                        ).astype(param.values.dtype)
     return model
 
 
@@ -144,7 +155,7 @@ class TestForward:
         assert np.array_equal(base, new)  # final grid is target-only
 
     def test_causality_bit_exact(self):
-        model = nonzero_head(make_model())
+        model = perturbed(make_model())  # open gates: attention reaches the logits
         grids = [g[None] for g in random_pyramid(model, seed=5).grids]
         base = model.forward_batch(grids, [1]).values[0]
         slices = model.schedule.position_slices()
@@ -199,15 +210,28 @@ class TestJointLogprob:
 class TestScaleCache:
     @pytest.mark.parametrize("schedule", [(1, 2), (1, 2, 3), (1, 2, 3, 4), PAPER_SCHEDULE.sizes])
     def test_cached_logits_equal_uncached_exactly(self, schedule):
-        model = nonzero_head(make_model(schedule=schedule, depth=2, width=16))
-        pyr = random_pyramid(model, seed=len(schedule))
-        for c in (1, model.config.null_index):
-            cache = pr.ScaleCache(c)
-            for k in range(len(schedule)):
-                prefix = list(pyr.grids[:k])
-                uncached = model.next_scale_logits(prefix, c)
-                assert np.array_equal(model.next_scale_logits(prefix, c, cache), uncached)
-            assert cache.scales_done == len(schedule)
+        """A walk's logits against fresh whole-prefix passes at every scale,
+        for a label and the null condition, in float32 and float64. At
+        initialisation the AdaLN gates are zero and the bits are equal. With
+        every weight perturbed the gates pass attention through, so the walk's
+        kept modulations, key/value arrays and skipped mask blocks reach the
+        logits; each product of a pass then runs another number of rows than
+        the whole-prefix pass's, so the two agree to rounding."""
+        for dtype, atol in (("float32", 1e-6), ("float64", 1e-14)):
+            for weights in (nonzero_head, perturbed):
+                model = weights(make_model(schedule=schedule, depth=2, width=16, dtype=dtype))
+                pyr = random_pyramid(model, seed=len(schedule))
+                for c in (1, model.config.null_index):
+                    cache = pr.ScaleCache(c)
+                    for k in range(len(schedule)):
+                        prefix = list(pyr.grids[:k])
+                        uncached = model.next_scale_logits(prefix, c)
+                        cached = model.next_scale_logits(prefix, c, cache)
+                        assert cached.dtype == dtype
+                        if weights is nonzero_head:
+                            assert cached.tobytes() == uncached.tobytes()
+                        np.testing.assert_allclose(cached, uncached, rtol=0, atol=atol)
+                    assert cache.scales_done == len(schedule)
 
     def test_prefix_length_other_than_scales_held_rejected(self):
         model = make_model()

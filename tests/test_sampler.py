@@ -11,8 +11,8 @@ from mvgen.numerics import ContractError, NumericError
 from mvgen.rng import rng_for
 
 
-def toy_prior(schedule=(1, 2), vocab=8, seed=1, bias=None):
-    cfg = pr.PriorConfig(depth=1, width=16, heads=2, vocab_size=vocab,
+def toy_prior(schedule=(1, 2), vocab=8, seed=1, bias=None, depth=1):
+    cfg = pr.PriorConfig(depth=depth, width=16, heads=2, vocab_size=vocab,
                          schedule=schedule, n_labels=2, code_dim=4, dtype="float64")
     table = np.random.default_rng(seed).normal(size=(vocab, 4))
     model = pr.PriorModel.create(cfg, table, seed=seed)
@@ -215,6 +215,23 @@ class TestGenerate:
             assert out.forward_passes == 2 * len(schedule)
             out = smp.generate(model, tkn, 0, smp.SamplingConfig(cfg_scale=None, seed=1))
             assert out.forward_passes == len(schedule)
+
+    @pytest.mark.parametrize("schedule", [(1, 2, 3, 4), tok.PAPER_SCHEDULE.sizes],
+                             ids=["desk", "paper"])
+    def test_guided_walk_projects_each_condition_once(self, monkeypatch, schedule):
+        """The AdaLN modulations depend on the condition alone: a guided walk
+        computes each block's and the final layer's once per condition, not
+        once per scale."""
+        depth = 3
+        model = toy_prior(schedule=schedule, depth=depth)
+        calls = []
+        modulation = pr.PriorModel._modulation
+        monkeypatch.setattr(pr.PriorModel, "_modulation",
+                            lambda *a, **kw: calls.append(1) or modulation(*a, **kw))
+        out = smp.generate(model, matched_tokenizer(schedule=schedule), 0,
+                           smp.SamplingConfig(cfg_scale=4.0, seed=1))
+        assert out.forward_passes == 2 * len(schedule)
+        assert len(calls) == 2 * (depth + 1)
 
     def test_cfg_one_bit_identical_to_unguided(self):
         model = toy_prior(seed=5)
