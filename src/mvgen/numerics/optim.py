@@ -72,19 +72,34 @@ def lr_at(step: int, cfg: OptimizerConfig) -> float:
 
 
 def adamw_update(p: Parameter, lr: float, cfg: OptimizerConfig) -> Parameter:
-    """One decoupled-weight-decay update; moments are bias-corrected."""
+    """One decoupled-weight-decay update; moments are bias-corrected.
+
+    m and v are updated in place and the step is built in two temporaries,
+    with the expressions of
+        m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * (g * g)
+        values = values - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * values)
+    in their order; `values` gets a new array.
+    """
     if lr < 0:
         raise ContractError("learning rate must be non-negative")
     if p.grad is None:
         raise ContractError("parameter gradient not populated")
     g = p.grad
     p.step += 1
-    p.m = cfg.beta1 * p.m + (1.0 - cfg.beta1) * g
-    p.v = cfg.beta2 * p.v + (1.0 - cfg.beta2) * (g * g)
-    m_hat = p.m / (1.0 - cfg.beta1 ** p.step)
-    v_hat = p.v / (1.0 - cfg.beta2 ** p.step)
-    p.values = p.values - lr * (m_hat / (np.sqrt(v_hat) + cfg.eps)
-                                + cfg.weight_decay * p.values)
+    step = np.multiply(g, 1.0 - cfg.beta1)
+    p.m *= cfg.beta1
+    p.m += step
+    other = np.multiply(g, g)
+    other *= 1.0 - cfg.beta2
+    p.v *= cfg.beta2
+    p.v += other
+    m_hat = np.divide(p.m, 1.0 - cfg.beta1 ** p.step, out=step)
+    root = np.sqrt(np.divide(p.v, 1.0 - cfg.beta2 ** p.step, out=other), out=other)
+    root += cfg.eps
+    step = np.divide(m_hat, root, out=step)
+    step += np.multiply(p.values, cfg.weight_decay, out=other)
+    step *= lr
+    p.values = p.values - step
     return p
 
 

@@ -9,16 +9,19 @@ and one that holds the coarser scales runs only the new scale's rows against
 them (a fresh one runs the whole prefix). A walk keeps what its later passes
 would only recompute: the condition's AdaLN modulations and each block's keys
 and values, in arrays a pass writes its rows into. A pass of exactly one
-scale adds no mask, as its block of the mask is all zeros. Inputs for scale
-1 are the condition embedding; inputs for scale k>1 are the sum of the code
-embeddings of all coarser scales, each upsampled to the finest grid, then
-resized to the scale-k grid and linearly projected (a residual code alone says
-little of the image so far). The sum is of raw codebook rows: the tokenizer's
-per-scale refinements (Phi) are not applied, so it is not the tokenizer's
-partial reconstruction. The condition also drives every block through
-adaptive layernorm modulation, and queries/keys are L2-normalized with a
-learned per-head temperature. The output head starts at zero, so an untrained
-model predicts the uniform distribution exactly.
+scale adds no mask, as its block of the mask is all zeros. A block builds
+about 18 graph nodes per pass: the fused `modulate`, `gated_add`,
+`split_heads`, `attend` and `merge_heads` ops stand, bit for bit, for the
+compositions tests/oracles.py's `ComposedPrior` spells out. Inputs for
+scale 1 are the condition embedding; inputs for scale k>1 are the sum of the
+code embeddings of all coarser scales, each upsampled to the finest grid,
+then resized to the scale-k grid and linearly projected (a residual code
+alone says little of the image so far). The sum is of raw codebook rows:
+the tokenizer's per-scale refinements (Phi) are not applied, so it is not
+the tokenizer's partial reconstruction. The condition also drives every
+block through adaptive layernorm modulation, and queries/keys are
+L2-normalized with a learned per-head temperature. The output head starts at
+zero, so an untrained model predicts the uniform distribution exactly.
 """
 
 from __future__ import annotations
@@ -37,15 +40,19 @@ from .numerics import (
     Parameter,
     Tensor,
     as_tensor,
+    attend,
     concat,
+    gated_add,
     gelu,
     l2_normalize,
-    layernorm,
     linear,
     log_softmax,
+    merge_heads,
+    modulate,
     no_grad,
     resize_bilinear,
-    softmax,
+    softmax,  # noqa: F401  (no caller here; perfbench's tests wrap prior.softmax)
+    split_heads,
     take,
     take_along_last,
     train_loop,
@@ -237,17 +244,15 @@ class PriorModel:
         The rows attend to the cached keys and values ahead of their own,
         which the cache then keeps.
         """
-        cfg = self.config
-        b, rows = h_in.shape[0], h_in.shape[1]
-        heads, hd = cfg.heads, cfg.width // cfg.heads
+        heads = self.config.heads
 
         def project(piece):
-            out = self._linear(f"block{i}.{piece}", h_in)
-            return out.reshape(b, rows, heads, hd).transpose(0, 2, 1, 3)
+            return split_heads(self._linear(f"block{i}.{piece}", h_in), heads)
 
         q = l2_normalize(project("wq"))
         k = l2_normalize(project("wk"))
         v = project("wv")
+        b, _, rows, hd = q.shape
         done = cache.scales_done
         start = self._offsets[done]
         end = start + rows
@@ -263,15 +268,11 @@ class PriorModel:
                 # this pass's need no graph
                 k = as_tensor(cache.keys[i][:, :, :end])
                 v = as_tensor(cache.values[i][:, :, :end])
-        temp = self.params[f"block{i}.temp"].reshape(1, heads, 1, 1)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * temp
-        if end != self._offsets[done + 1]:
-            # one scale's rows see every row up to their end, so its mask
-            # block is all zeros; adding it could only turn a -0 score into
-            # +0, which softmax maps to the same exp(0) = 1
-            scores = scores + as_tensor(self._mask_bias[start:end, :end])
-        att = softmax(scores)
-        mixed = (att @ v).transpose(0, 2, 1, 3).reshape(b, rows, cfg.width)
+        # one scale's rows see every row up to their end, so its mask block is
+        # all zeros; adding it could only turn a -0 score into +0, which
+        # softmax maps to the same exp(0) = 1
+        mask = None if end == self._offsets[done + 1] else self._mask_bias[start:end, :end]
+        mixed = merge_heads(attend(q, k, v, self.params[f"block{i}.temp"], mask))
         return self._linear(f"block{i}.wo", mixed)
 
     def _run(self, seq: Tensor, labels: np.ndarray, cache: ScaleCache) -> Tensor:
@@ -288,15 +289,11 @@ class PriorModel:
         x = seq
         for i in range(cfg.depth):
             g1, b1, a1, g2, b2, a2 = cache.modulations[i]
-            h = layernorm(x) * g1 + b1
-            x = x + a1 * self._attention(i, h, cache)
-            h = layernorm(x) * g2 + b2
-            ffn = gelu(self._linear(f"block{i}.ffn1", h))
-            ffn = self._linear(f"block{i}.ffn2", ffn)
-            x = x + a2 * ffn
+            x = gated_add(x, a1, self._attention(i, modulate(x, g1, b1), cache))
+            ffn = gelu(self._linear(f"block{i}.ffn1", modulate(x, g2, b2)))
+            x = gated_add(x, a2, self._linear(f"block{i}.ffn2", ffn))
         gf, bf = cache.modulations[-1]
-        x = layernorm(x) * gf + bf
-        return self._linear("head", x)
+        return self._linear("head", modulate(x, gf, bf))
 
     def forward_batch(self, grids: Sequence[np.ndarray], labels: np.ndarray) -> Tensor:
         """Teacher-forced logits (B, L, V) for full pyramids: grid k is an

@@ -5,8 +5,11 @@ guidance is enabled, one otherwise, so the forward-pass count per image is
 2K or K regardless of how many tokens the schedule holds. `generate` keeps one
 KV cache per condition, so each pass runs only the new scale's n_k^2 rows
 against the cached keys and values of the coarser scales. A scale's rows are
-filtered and drawn in one call each. Every draw uses the first uniform of a
-counter-based generator keyed by (seed, "draw", scale, position); one
+filtered and drawn in one call each. Top-k and top-p sort each row once and
+keep the masses above its count-th largest, then those equal to it by lowest
+index: the kept set of a stable descending argsort (NaN last), which
+tests/oracles.py keeps as the reference. Every draw uses the first uniform
+of a counter-based generator keyed by (seed, "draw", scale, position); one
 vectorised Philox pass (`rng.first_uniforms`) gives a scale's uniforms, bit
 for bit those of the per-position generators. Draws are order-independent,
 and the paired null evaluation consumes no randomness, so guidance strength 1
@@ -59,10 +62,24 @@ def cfg_combine(cond: np.ndarray, uncond: np.ndarray, s: float) -> np.ndarray:
     return uncond + s * (cond - uncond)
 
 
-def _keep_largest(probs: np.ndarray, count: int | np.ndarray) -> np.ndarray:
-    """Zero all but each row's `count` largest masses (ties -> lower index), renormalize."""
-    rank = np.argsort(np.argsort(-probs, axis=-1, kind="stable"), axis=-1)
-    out = np.where(rank < count, probs, 0.0)
+def _keep_largest(probs: np.ndarray, count: int | np.ndarray, least: np.ndarray) -> np.ndarray:
+    """Zero all but each row's `count` largest masses (ties -> lower index, NaN
+    after every number), renormalize: the first `count` of a stable
+    descending sort. `least` is each row's count-th largest mass, NaN where
+    the count reaches past the row's numbers.
+
+    The kept masses are those above `least`, then as many of those equal to
+    it as the count leaves, by lowest index.
+    """
+    keep = probs >= least
+    if not (keep.sum(axis=-1, keepdims=True) == count).all():
+        # ties at the count-th mass, or a count past the row's numbers
+        nan_least = np.isnan(least)
+        above = (probs > least) | (nan_least & ~np.isnan(probs))
+        tied = (probs == least) | (nan_least & np.isnan(probs))
+        room = count - above.sum(axis=-1, keepdims=True)
+        keep = above | (tied & (np.cumsum(tied, axis=-1) <= room))
+    out = np.where(keep, probs, 0.0)
     return out / out.sum(axis=-1, keepdims=True)
 
 
@@ -76,7 +93,7 @@ def top_k_filter(probs: np.ndarray, k: int) -> np.ndarray:
         raise ContractError("top_k must be at least 1")
     if k >= probs.shape[-1]:
         return probs.copy()
-    return _keep_largest(probs, k)
+    return _keep_largest(probs, k, -np.sort(-probs, axis=-1)[..., k - 1:k])
 
 
 def top_p_filter(probs: np.ndarray, p: float) -> np.ndarray:
@@ -89,9 +106,12 @@ def top_p_filter(probs: np.ndarray, p: float) -> np.ndarray:
         raise ContractError("top_p must lie in (0, 1]")
     if p == 1.0:
         return probs.copy()
-    cum = np.cumsum(-np.sort(-probs, axis=-1), axis=-1)
-    # cum never falls, so the count of entries below p is where p would insert
-    return _keep_largest(probs, (cum < p).sum(axis=-1, keepdims=True) + 1)
+    ranked = np.sort(-probs, axis=-1)
+    cum = np.cumsum(-ranked, axis=-1)
+    # cum never falls, so the count of entries below p is where p would
+    # insert; past the last entry, every entry is kept
+    count = np.minimum((cum < p).sum(axis=-1, keepdims=True) + 1, probs.shape[-1])
+    return _keep_largest(probs, count, -np.take_along_axis(ranked, count - 1, axis=-1))
 
 
 def categorical_draw(probs: np.ndarray, seed: int, scale_index: int, position: int):

@@ -1,12 +1,25 @@
 """Reference code, apart from the package it checks, that the tests judge mvgen
-against: the scalar quantizer, layernorm in numpy's own reductions, a pyramid's
-joint log-likelihood whole and scale by scale, and the geometry detectors (not
-collected by pytest)."""
+against: the scalar quantizer, layernorm in numpy's own reductions, the fused
+tensor ops composed from the primitive ops, the prior's forward built from
+those compositions, AdamW's out-of-place step, the argsort top-k/top-p
+filters, a pyramid's joint log-likelihood whole and scale by scale, and the
+geometry detectors (not collected by pytest)."""
 
 import numpy as np
 
 from mvgen import datagen as dg
-from mvgen.numerics import NumericError, log_softmax, no_grad
+from mvgen.numerics import (
+    NumericError,
+    Tensor,
+    as_tensor,
+    gelu,
+    l2_normalize,
+    layernorm as layernorm_op,
+    log_softmax,
+    no_grad,
+    softmax,
+    take,
+)
 from mvgen.prior import PriorModel, ScaleCache
 from mvgen.tokenizer import Codebook, TokenPyramid
 
@@ -34,6 +47,111 @@ def layernorm(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     grad = inv * (g - g.mean(axis=-1, keepdims=True)
                   - out * (g * out).mean(axis=-1, keepdims=True))
     return out, grad
+
+
+# -- the fused tensor ops, composed from the primitive ops they replace ---------
+
+
+def modulate(x, g, b) -> Tensor:
+    return layernorm_op(x) * g + b
+
+
+def gated_add(x, a, y) -> Tensor:
+    return x + a * y
+
+
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    b, rows, width = x.shape
+    return x.reshape(b, rows, heads, width // heads).transpose(0, 2, 1, 3)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    b, heads, rows, hd = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, rows, heads * hd)
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, temp: Tensor, mask=None) -> Tensor:
+    scores = (q @ k.transpose(0, 1, 3, 2)) * temp.reshape(1, -1, 1, 1)
+    if mask is not None:
+        scores = scores + as_tensor(mask)
+    return softmax(scores) @ v
+
+
+class ComposedPrior(PriorModel):
+    """The prior with `_attention` and `_run` written in the composed ops,
+    walking the cache as `PriorModel` does."""
+
+    def _attention(self, i: int, h_in: Tensor, cache: ScaleCache) -> Tensor:
+        heads = self.config.heads
+        q = l2_normalize(split_heads(self._linear(f"block{i}.wq", h_in), heads))
+        k = l2_normalize(split_heads(self._linear(f"block{i}.wk", h_in), heads))
+        v = split_heads(self._linear(f"block{i}.wv", h_in), heads)
+        b, _, rows, hd = q.shape
+        done = cache.scales_done
+        start = self._offsets[done]
+        end = start + rows
+        length = self.schedule.token_count
+        if start > 0 or end < length:
+            if start == 0:
+                cache.keys[i] = np.empty((b, heads, length, hd), dtype=k.values.dtype)
+                cache.values[i] = np.empty((b, heads, length, hd), dtype=v.values.dtype)
+            cache.keys[i][:, :, start:end] = k.values
+            cache.values[i][:, :, start:end] = v.values
+            if start > 0:
+                k = as_tensor(cache.keys[i][:, :, :end])
+                v = as_tensor(cache.values[i][:, :, :end])
+        mask = None if end == self._offsets[done + 1] else self._mask_bias[start:end, :end]
+        att = attend(q, k, v, self.params[f"block{i}.temp"], mask)
+        return self._linear(f"block{i}.wo", merge_heads(att))
+
+    def _run(self, seq: Tensor, labels: np.ndarray, cache: ScaleCache) -> Tensor:
+        cfg = self.config
+        if not cache.modulations:
+            cond = take(self.params["cond_emb"], labels).reshape(len(labels), 1, cfg.width)
+            for i in range(cfg.depth):
+                g1, b1, a1, g2, b2, a2 = self._modulation(cond, f"block{i}.adaln", 6)
+                cache.modulations.append((g1 + 1.0, b1, a1, g2 + 1.0, b2, a2))
+            gf, bf = self._modulation(cond, "final.adaln", 2)
+            cache.modulations.append((gf + 1.0, bf))
+        x = seq
+        for i in range(cfg.depth):
+            g1, b1, a1, g2, b2, a2 = cache.modulations[i]
+            x = gated_add(x, a1, self._attention(i, modulate(x, g1, b1), cache))
+            ffn = gelu(self._linear(f"block{i}.ffn1", modulate(x, g2, b2)))
+            x = gated_add(x, a2, self._linear(f"block{i}.ffn2", ffn))
+        gf, bf = cache.modulations[-1]
+        return self._linear("head", modulate(x, gf, bf))
+
+
+def adamw_step(values, m, v, g, step: int, lr: float, cfg):
+    """One AdamW step on new arrays: (values, m, v) after it."""
+    m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+    v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+    m_hat = m / (1.0 - cfg.beta1 ** step)
+    v_hat = v / (1.0 - cfg.beta2 ** step)
+    values = values - lr * (m_hat / (np.sqrt(v_hat) + cfg.eps) + cfg.weight_decay * values)
+    return values, m, v
+
+
+def keep_largest(probs: np.ndarray, count) -> np.ndarray:
+    """Zero all but each row's `count` largest masses by the rank of a stable
+    descending argsort (ties -> lower index, NaN last), renormalize."""
+    rank = np.argsort(np.argsort(-probs, axis=-1, kind="stable"), axis=-1)
+    out = np.where(rank < count, probs, 0.0)
+    return out / out.sum(axis=-1, keepdims=True)
+
+
+def top_k_filter(probs: np.ndarray, k: int) -> np.ndarray:
+    probs = np.asarray(probs, dtype=np.float64)
+    return probs.copy() if k >= probs.shape[-1] else keep_largest(probs, k)
+
+
+def top_p_filter(probs: np.ndarray, p: float) -> np.ndarray:
+    probs = np.asarray(probs, dtype=np.float64)
+    if p == 1.0:
+        return probs.copy()
+    cum = np.cumsum(-np.sort(-probs, axis=-1), axis=-1)
+    return keep_largest(probs, (cum < p).sum(axis=-1, keepdims=True) + 1)
 
 
 def _realized_logprob(logits: np.ndarray, flat: np.ndarray) -> float:

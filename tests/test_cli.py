@@ -820,7 +820,7 @@ def test_rerun_with_echoed_config_reproduces_artifacts(workdir, tmp_path, comman
     assert dir_hash(tmp_path, skip_suffixes=skip) == first
 
 
-@pytest.mark.parametrize("script", ["acceptance_margins", "cli_traffic"])
+@pytest.mark.parametrize("script", ["acceptance_margins", "bit_digest", "cli_traffic"])
 def test_uncollected_script_imports(script):
-    # pytest collects neither script; importing one runs no main()
+    # pytest collects none of these scripts; importing one runs no main()
     assert callable(importlib.import_module(script).main)

@@ -3,6 +3,7 @@ import tracemalloc
 import zlib
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +120,18 @@ OPS = {
     "concat": lambda x: nx.concat([x, x * 2.0], axis=0).sum(),
     # x is the input, the weight and (one row of it) the bias at once
     "linear": lambda x: (nx.linear(x, x * 0.5, x[2]) * nx.Tensor(np.linspace(-1, 1, 4))).sum(),
+    "modulate": lambda x: (nx.modulate(x, x[0] * 0.5, x[1])
+                           * nx.Tensor(np.linspace(-1, 1, 4))).sum(),
+    "gated_add": lambda x: (nx.gated_add(x, x[0], x * x) * nx.Tensor(np.linspace(-1, 1, 4))).sum(),
+    "split_heads": lambda x: (nx.split_heads(x.reshape(1, 4, 4), 2)
+                              * nx.Tensor(np.linspace(-1, 1, 16).reshape(1, 2, 4, 2))).sum(),
+    "merge_heads": lambda x: (nx.merge_heads(x.reshape(1, 2, 4, 2))
+                              * nx.Tensor(np.linspace(-1, 1, 16).reshape(1, 4, 4))).sum(),
+    # q, k, v and (one row of x) the two heads' temperatures; one score masked
+    "attend": lambda x: (nx.attend(x.reshape(1, 2, 2, 4), (x * 0.5).reshape(1, 2, 2, 4),
+                                   x.reshape(1, 2, 2, 4), x[3, :2],
+                                   np.array([[0.0, -1e9], [0.0, 0.0]]))
+                         * nx.Tensor(np.linspace(-1, 1, 16).reshape(1, 2, 2, 4))).sum(),
 }
 
 
@@ -235,6 +248,68 @@ def test_layernorm_has_the_bits_of_numpy_mean_and_var(width, dtype):
     assert out.values.dtype == dtype and x.grad.dtype == dtype
     assert out.values.tobytes() == want_out.tobytes()
     assert x.grad.tobytes() == want_grad.tobytes()
+
+
+def _attend_case(cached: bool, masked: bool):
+    """attend's inputs as the prior hands them over: q, k and v in the split
+    heads' layout, or k and v as a cache's rows up to the pass's end."""
+    b, heads, hd, lq = 2, 3, 4, 5
+    lk = 9 if cached else lq
+
+    def inputs(rng, dtype):
+        def split(rows):
+            return rng.normal(size=(b, rows, heads, hd)).astype(dtype).transpose(0, 2, 1, 3)
+        if cached:
+            kv = [rng.normal(size=(b, heads, lk + 3, hd)).astype(dtype)[:, :, :lk]
+                  for _ in range(2)]
+        else:
+            kv = [split(lk), split(lk)]
+        mask = None
+        if masked:
+            allow = rng.random((lq, lk)) < 0.7
+            allow[:, 0] = True
+            mask = np.where(allow, 0.0, -1e9).astype(dtype)
+        return [split(lq), *kv, rng.uniform(0.5, 3.0, size=heads).astype(dtype)], {"mask": mask}
+
+    return nx.attend, oracles.attend, inputs
+
+
+def _case(fused, composed, *shapes):
+    def inputs(rng, dtype):
+        return [rng.normal(size=shape).astype(dtype) for shape in shapes], {}
+    return fused, composed, inputs
+
+
+FUSED = {
+    "modulate": _case(nx.modulate, oracles.modulate, (2, 5, 6), (2, 1, 6), (2, 1, 6)),
+    "gated_add": _case(nx.gated_add, oracles.gated_add, (2, 5, 6), (2, 1, 6), (2, 5, 6)),
+    "split_heads": _case(lambda x: nx.split_heads(x, 3), lambda x: oracles.split_heads(x, 3),
+                         (2, 5, 6)),
+    "merge_heads": _case(nx.merge_heads, oracles.merge_heads, (2, 3, 5, 2)),
+    **{f"attend-{rows}{'-masked' * masked}": _attend_case(rows == "cached", masked)
+       for rows in ("whole", "cached") for masked in (False, True)},
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_has_the_bits_of_its_composition(name, dtype):
+    """Forward values with and without a gradient, and every input gradient,
+    equal the composed ops' bytes (tests/oracles.py)."""
+    fused, composed, inputs = FUSED[name]
+    arrays, kwargs = inputs(np.random.default_rng(zlib.crc32(name.encode())), dtype)
+    results = []
+    for op in (fused, composed):
+        leaves = [nx.Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*leaves, **kwargs)
+        probe = np.random.default_rng(1).normal(size=out.shape).astype(dtype)
+        (out * nx.Tensor(probe)).sum().backward()
+        with nx.no_grad():
+            no_grad_out = op(*[nx.Tensor(a) for a in arrays], **kwargs)
+        assert out.values.dtype == dtype
+        results.append([out.values, no_grad_out.values, *(t.grad for t in leaves)])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_leaves_fed_by_one_add_own_their_gradients_through_clipping():
@@ -454,6 +529,25 @@ class TestAdamW:
         p.grad = np.ones(1)
         with pytest.raises(nx.ContractError):
             nx.adamw_update(p, -0.1, self.cfg())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_moments_change_in_place_and_values_get_a_new_array(self, dtype):
+        """Bit for bit the out-of-place step of tests/oracles.py; an array
+        held from before a step shows which buffers the step reused."""
+        rng = np.random.default_rng(15)
+        cfg = self.cfg(weight_decay=0.1)
+        p = nx.Parameter(rng.normal(size=(3, 4)).astype(dtype))
+        want = (p.values, p.m, p.v)
+        for step in range(1, 5):
+            p.grad = rng.normal(size=(3, 4)).astype(dtype)
+            want = oracles.adamw_step(*want, p.grad, step, 0.05 * step, cfg)
+            old_values, old_m, old_v = p.values, p.m, p.v
+            kept = old_values.copy()
+            nx.adamw_update(p, 0.05 * step, cfg)
+            assert p.m is old_m and p.v is old_v
+            assert p.values is not old_values and old_values.tobytes() == kept.tobytes()
+            for got, expected in zip((p.values, p.m, p.v), want):
+                assert got.dtype == dtype and got.tobytes() == expected.tobytes()
 
     def test_bit_identical_across_runs(self):
         def run():

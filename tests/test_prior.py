@@ -2,10 +2,11 @@ import zlib
 
 import numpy as np
 import pytest
-from oracles import joint_logprob, joint_logprob_incremental
+from oracles import ComposedPrior, joint_logprob, joint_logprob_incremental
 
 from mvgen import prior as pr
-from mvgen.numerics import ContractError, NumericError, OptimizerConfig, l2_normalize
+from mvgen.numerics import (ContractError, NumericError, OptimizerConfig, Parameter,
+                            l2_normalize, no_grad, tensor)
 from mvgen.tokenizer import PAPER_SCHEDULE, ScaleSchedule, TokenPyramid
 
 
@@ -40,6 +41,12 @@ def perturbed(model, seed=0):
         param.values = (param.values + rng.normal(0, 0.05, size=param.values.shape)
                         ).astype(param.values.dtype)
     return model
+
+
+def composed(model):
+    """A copy of the model's weights in the prior written in composed ops."""
+    params = {name: Parameter(p.values.copy()) for name, p in model.params.items()}
+    return ComposedPrior(model.config, params, model.code_table)
 
 
 class TestBuildMask:
@@ -257,6 +264,57 @@ class TestScaleCache:
         model.next_scale_logits([], 0, cache)
         with pytest.raises(ContractError):
             model.next_scale_logits([np.array([[1]])], model.config.null_index, cache)
+
+
+class TestFusedOps:
+    """The prior's fused ops have the bits of the primitive ops they replace
+    (tests/oracles.py's ComposedPrior), on priors with every weight perturbed,
+    so AdaLN's shifts and gates, the mask and the cache reach the logits."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_logits_and_every_parameter_gradient(self, dtype):
+        model = perturbed(make_model(schedule=(1, 2, 3), dtype=dtype))
+        oracle = composed(model)
+        rng = np.random.default_rng(8)
+        grids = [rng.integers(0, 16, size=(3, n, n)) for n in model.schedule.sizes]
+        labels = np.array([0, 2, model.config.null_index])
+        for m in (model, oracle):
+            pr.batch_loss(m, grids, labels).backward()
+        for name, p in model.params.items():
+            assert p.grad.tobytes() == oracle.params[name].grad.tobytes(), name
+        want = oracle.forward_batch(grids, labels).values
+        assert model.forward_batch(grids, labels).values.tobytes() == want.tobytes()
+        with no_grad():
+            assert model.forward_batch(grids, labels).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("schedule", [(1, 2, 3, 4), PAPER_SCHEDULE.sizes],
+                             ids=["desk", "paper"])
+    def test_cached_walk(self, schedule, dtype):
+        model = perturbed(make_model(schedule=schedule, depth=2, width=16, dtype=dtype))
+        oracle = composed(model)
+        pyr = random_pyramid(model, seed=4)
+        for c in (1, model.config.null_index):
+            cache, oracle_cache = pr.ScaleCache(c), pr.ScaleCache(c)
+            for k in range(len(schedule)):
+                prefix = list(pyr.grids[:k])
+                got = model.next_scale_logits(prefix, c, cache)
+                want = oracle.next_scale_logits(prefix, c, oracle_cache)
+                assert got.tobytes() == want.tobytes()
+
+    def test_a_cached_pass_builds_18_nodes_per_block(self, monkeypatch):
+        """After the walk's first pass: the input's projection and position
+        embeddings (5 nodes), 18 per block, and the final modulate and head."""
+        depth = 3
+        model = make_model(schedule=(1, 2, 3), depth=depth)
+        pyr = random_pyramid(model)
+        cache = pr.ScaleCache(1)
+        model.next_scale_logits([], 1, cache)
+        nodes = []
+        make = tensor._make
+        monkeypatch.setattr(tensor, "_make", lambda *a: nodes.append(a[-1]) or make(*a))
+        model.next_scale_logits(list(pyr.grids[:1]), 1, cache)
+        assert len(nodes) == 5 + 18 * depth + 2
 
 
 class TestTraining:

@@ -1,4 +1,6 @@
+import hypothesis
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,6 +154,34 @@ def test_row_wise_filters_and_draw_equal_one_dimensional_calls(seed, rows, vocab
         assert draws[r] == smp.categorical_draw(both[r], seed, 2, 5 + r)
 
 
+@hypothesis.seed(21)
+@settings(max_examples=300, deadline=None)
+@given(data=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), vocab=st.integers(1, 12),
+       kind=st.sampled_from(["normal", "tied", "zeros", "nan_rows", "nan_entries"]),
+       k=st.integers(1, 14), p=st.one_of(st.floats(0.01, 1.0), st.sampled_from(
+           [1.0 - 1e-16, 1.0 - 1e-12, 1.0 - 1e-9]), st.just(1.0)))
+def test_filters_have_the_bits_of_a_stable_argsort(data, rows, vocab, kind, k, p):
+    """top_k_filter and top_p_filter against tests/oracles.py's argsort ranks:
+    ties, zero masses, k >= V, p so near 1 that the count passes V, and NaN."""
+    rng = np.random.default_rng(data)
+    logits = {"normal": lambda: rng.normal(size=(rows, vocab)),
+              "tied": lambda: rng.integers(0, 3, size=(rows, vocab)).astype(np.float64),
+              "zeros": lambda: rng.integers(0, 3, size=(rows, vocab)) * 400.0,
+              "nan_rows": lambda: rng.normal(size=(rows, vocab)) * np.inf,
+              "nan_entries": lambda: rng.normal(size=(rows, vocab))}[kind]()
+    with np.errstate(invalid="ignore"):
+        probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        if kind == "nan_entries":
+            probs[rng.random(probs.shape) < 0.3] = np.nan
+        for row in (probs, probs[0]):
+            top_k = smp.top_k_filter(row, k)
+            assert top_k.tobytes() == oracles.top_k_filter(row, k).tobytes()
+            for kept in (row, top_k):
+                want = oracles.top_p_filter(kept, p)
+                assert smp.top_p_filter(kept, p).tobytes() == want.tobytes()
+
+
 def inverse_cdf(row, u):
     """The first index whose running mass exceeds u, or the last index with
     mass where rounding leaves u past the end or on a zero."""
@@ -303,11 +333,15 @@ class TestGenerate:
         model.params["head.w"].values[:] = 0.0  # logits are the bias
         grid, _ = smp.sample_scale(model, [], 0, smp.SamplingConfig(temperature=1e-300))
         assert grid.tolist() == [[1]]
-        cfg = smp.SamplingConfig(temperature=1e-310)  # logits / T overflow to inf
-        with pytest.raises(NumericError, match="non-finite sampling distribution at scale 0"):
-            smp.sample_scale(model, [], 0, cfg)
-        with pytest.raises(NumericError, match="non-finite sampling distribution at scale 0"):
-            smp.generate(model, matched_tokenizer(schedule=(1,), vocab=4), 0, cfg)
+        # logits / T overflow to inf, with and without the filters on the NaN rows
+        for cfg in (smp.SamplingConfig(temperature=1e-310),
+                    smp.SamplingConfig(temperature=1e-310, top_k=2, top_p=0.9)):
+            with pytest.raises(nx.NonOpNumericError,
+                               match="non-finite sampling distribution at scale 0"):
+                smp.sample_scale(model, [], 0, cfg)
+            with pytest.raises(nx.NonOpNumericError,
+                               match="non-finite sampling distribution at scale 0"):
+                smp.generate(model, matched_tokenizer(schedule=(1,), vocab=4), 0, cfg)
 
     def test_non_finite_distribution_does_not_rerun_the_walk(self, monkeypatch):
         # no op is at fault, so a rerun with per-op checks on would only repeat the passes
