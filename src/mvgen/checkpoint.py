@@ -29,8 +29,18 @@ class ArtifactError(ValueError):
 
 
 class _Sections(dict):
+    """A checkpoint's arrays by section name; `load_model` sets `path`."""
+    path = ""
+
     def __missing__(self, name):
-        raise ArtifactError(f"checkpoint has no section {name!r}")
+        raise _section_error(self, f"checkpoint has no section {name!r}")
+
+
+def _section_error(arrays: dict, message: str) -> ArtifactError:
+    """An ArtifactError about a section, naming the file `arrays` came from
+    when `load_model` read them."""
+    path = getattr(arrays, "path", "")
+    return ArtifactError(f"{path}: {message}" if path else message)
 
 
 def encode_checkpoint(config: dict, arrays: dict[str, np.ndarray]) -> bytes:
@@ -146,8 +156,8 @@ def section(arrays: dict[str, np.ndarray], name: str, shape: tuple, dtype) -> np
     """Section `name` as dtype; ArtifactError unless it has `shape`."""
     arr = arrays[name]
     if arr.shape != tuple(shape):
-        raise ArtifactError(f"checkpoint section {name!r} has shape {arr.shape}, "
-                            f"the model expects {tuple(shape)}")
+        raise _section_error(arrays, f"checkpoint section {name!r} has shape {arr.shape}, "
+                                     f"the model expects {tuple(shape)}")
     return arr.astype(dtype)
 
 
@@ -159,7 +169,7 @@ def load_params(params: dict, arrays: dict[str, np.ndarray], dtype) -> None:
         if f"opt.{name}.m" in arrays:
             p.m = section(arrays, f"opt.{name}.m", shape, dtype)
             p.v = section(arrays, f"opt.{name}.v", shape, dtype)
-            p.step = int(arrays[f"opt.{name}.step"].reshape(-1)[0])
+            p.step = int(section(arrays, f"opt.{name}.step", (1,), np.float64)[0])
 
 
 def save_model(path: str | os.PathLike, kind: str, config, arrays: dict[str, np.ndarray],
@@ -177,6 +187,7 @@ def save_model(path: str | os.PathLike, kind: str, config, arrays: dict[str, np.
 def load_model(path: str | os.PathLike, kind: str, config_cls):
     """Read a checkpoint of `kind` -> (config_cls instance, raw config, sections)."""
     config, arrays = read_checkpoint(path)
+    arrays.path = os.fspath(path)
     if config.get("kind") != kind:
         raise ArtifactError(f"{os.fspath(path)}: checkpoint holds a {config.get('kind')}, "
                             f"not a {kind}")

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import checkpoint as ckpt
-from .numerics import ContractError, as_tensor, no_grad
+from .numerics import ContractError, no_grad
 from .tokenizer import TokenizerModel, load_tokenizer
 
 CSV_HEADER = "model,n_real,n_fake,fid,kid,median_time_s,efficiency,gamma,seed"
@@ -51,12 +51,10 @@ class FeatureEmbedder:
         """(N, R, R) -> (N, C) float64 features, `EMBED_CHUNK` images per
         encoder call; each image's features are independent of the chunk size."""
         images = np.asarray(images)
-        dtype = self.model.config.np_dtype()
         feats = []
         with no_grad():
             for lo in range(0, images.shape[0], EMBED_CHUNK):
-                part = images[lo:lo + EMBED_CHUNK].astype(dtype)[:, None]
-                latent = self.model.encoder_forward(as_tensor(part)).values
+                latent = self.model.encoder_forward(images[lo:lo + EMBED_CHUNK]).values
                 feats.append(latent.mean(axis=(2, 3)))
         return np.concatenate(feats, axis=0).astype(np.float64)
 

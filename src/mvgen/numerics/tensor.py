@@ -21,10 +21,11 @@ that reaches a released node raises ContractError.
 
 `linear(x, w, b)` is `x @ w + b` for a 2-D weight as one node, with the
 bits of the 2-D product plus the bias; `matmul` is the batched product of
-activations. `gelu` computes its derivative in the forward pass when a
-gradient is needed. The normalizers (`layernorm`, `log_softmax`, `softmax`,
-`l2_normalize`) work on the last axis; the reductions (`reduce_sum`,
-`reduce_mean`) cover the whole tensor.
+activations. `gelu` runs one forward in place; when a gradient is needed,
+x * x, tanh, 1 + tanh and x / 2 keep buffers of their own, in which the
+forward pass then computes the derivative. The normalizers (`layernorm`,
+`log_softmax`, `softmax`, `l2_normalize`) work on the last axis; the
+reductions (`reduce_sum`, `reduce_mean`) cover the whole tensor.
 
 The fused ops each build one node where the composition they replace built
 several, and reproduce its forward values and every input gradient byte for
@@ -359,27 +360,22 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
 def gelu(a) -> Tensor:
-    """tanh-approximated GELU; when a gradient is needed, the forward also
-    computes the derivative, reusing its own temporaries in place. Without
-    one, the same expressions run in their order in two buffers."""
+    """tanh-approximated GELU in place; when a gradient is needed, x * x,
+    tanh, 1 + tanh and x / 2 keep buffers of their own for the derivative."""
     a = as_tensor(a)
     x = a.values
-    if not _needs_grad(a):
-        inner = x * x
-        inner *= x
-        inner *= 0.044715
-        inner += x
-        inner *= _GELU_C
-        one_t = np.tanh(inner, out=inner)
-        one_t += 1.0
-        out = np.multiply(x, 0.5)
-        out *= one_t
-        return _make(out, (a,), None, "gelu")
+    needs_grad = _needs_grad(a)
     xx = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (xx * x)))
-    half_x = 0.5 * x
-    one_t = 1.0 + t
-    out = half_x * one_t
+    inner = np.multiply(xx, x, out=None if needs_grad else xx)
+    inner *= 0.044715
+    inner += x
+    inner *= _GELU_C
+    t = np.tanh(inner, out=inner)
+    one_t = np.add(t, 1.0, out=None if needs_grad else t)
+    half_x = np.multiply(x, 0.5)
+    out = np.multiply(half_x, one_t, out=None if needs_grad else half_x)
+    if not needs_grad:
+        return _make(out, (a,), None, "gelu")
     # da = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner,
     # dinner = C * (1 + 3 * 0.044715 * x * x)
     xx *= 3 * 0.044715

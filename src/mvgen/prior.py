@@ -8,8 +8,8 @@ values of a finished scale never change: every forward walks a `ScaleCache`,
 and one that holds the coarser scales runs only the new scale's rows against
 them (a fresh one runs the whole prefix). A walk keeps what its later passes
 would only recompute: the condition's AdaLN modulations and each block's keys
-and values, in arrays a pass writes its rows into. A pass of exactly one
-scale adds no mask, as its block of the mask is all zeros. A block builds
+and values, which `ScaleCache.extend` stores and hands back. A pass of exactly
+one scale adds no mask, as its block of the mask is all zeros. A block builds
 about 18 graph nodes per pass: the fused `modulate`, `gated_add`,
 `split_heads`, `attend` and `merge_heads` ops stand, bit for bit, for the
 compositions tests/oracles.py's `ComposedPrior` spells out. Inputs for
@@ -58,7 +58,7 @@ from .numerics import (
     train_loop,
 )
 from .rng import rng_for
-from .tokenizer import EVAL_CHUNK, ModelConfig, ScaleSchedule, _check_grid
+from .tokenizer import EVAL_CHUNK, ModelConfig, ScaleSchedule, _check_grid, _lookup
 
 MASK_BIAS = -1e9  # exp() underflows to exactly 0.0, so masking is bit-exact
 
@@ -99,10 +99,10 @@ class ScaleCache:
     first pass and kept: `modulations`, each block's six AdaLN chunks (the
     scales with their + 1 applied) and the final layer's two. `keys` and
     `values` are each block's (B, heads, L, hd) arrays over the whole
-    schedule: a pass writes its own rows and a later pass reads the rows up
-    to its end. A pass that covers the whole schedule keeps none. `acc` is the
-    latent accumulator of upsampled code embeddings. So a cache is valid for
-    one set of weights; `condition` is the one condition a
+    schedule: `extend` writes a pass's own rows and hands the pass the rows
+    up to its end. A pass that covers the whole schedule keeps none. `acc`
+    is the latent accumulator of upsampled code embeddings. So a cache is
+    valid for one set of weights; `condition` is the one condition a
     `next_scale_logits` walk is built for.
     """
     condition: int | None = None
@@ -111,6 +111,25 @@ class ScaleCache:
     modulations: list[tuple[Tensor, ...]] = dataclasses.field(default_factory=list)
     keys: dict[int, np.ndarray] = dataclasses.field(default_factory=dict)
     values: dict[int, np.ndarray] = dataclasses.field(default_factory=dict)
+
+    def extend(self, block: int, k: Tensor, v: Tensor, start: int,
+               length: int) -> tuple[Tensor, Tensor]:
+        """Write a pass's (B, heads, rows, hd) keys and values, rows `start`
+        onward of a `length`-row schedule, into block's arrays, and return the
+        keys and values the pass attends to: every row up to its end."""
+        end = start + k.shape[2]
+        if start == 0 and end == length:
+            return k, v
+        if start == 0:
+            self.keys[block] = np.empty(k.shape[:2] + (length, k.shape[3]), dtype=k.values.dtype)
+            self.values[block] = np.empty_like(self.keys[block])
+        self.keys[block][:, :, start:end] = k.values
+        self.values[block][:, :, start:end] = v.values
+        if start == 0:
+            return k, v
+        # only no_grad passes follow the first, so the rows before this
+        # pass's need no graph
+        return as_tensor(self.keys[block][:, :, :end]), as_tensor(self.values[block][:, :, :end])
 
 
 def build_mask(schedule: ScaleSchedule) -> np.ndarray:
@@ -217,8 +236,7 @@ class PriorModel:
         for j in range(max(first, 1), k_active):
             m, n = self.schedule.sizes[j - 1:j + 1]
             prev = _check_grid(prefix_grids[j - 1], j - 1, (b, m, m), cfg.vocab_size)
-            codes = self.code_table[prev].transpose(0, 3, 1, 2)  # (B, C, m, m)
-            acc = acc + resize_bilinear(codes.astype(dtype), n_latent, n_latent).values
+            acc = acc + resize_bilinear(_lookup(prev, self.code_table), n_latent, n_latent).values
             up = resize_bilinear(acc, n, n).values
             flat = up.transpose(0, 2, 3, 1).reshape(b, n * n, cfg.code_dim)
             pieces.append(self._linear("input_proj", flat))
@@ -239,35 +257,19 @@ class PriorModel:
         return [mod[:, :, i * w:(i + 1) * w] for i in range(chunks)]
 
     def _attention(self, i: int, h_in: Tensor, cache: ScaleCache) -> Tensor:
-        """Block i's attention for the rows after the scales the cache holds.
-
-        The rows attend to the cached keys and values ahead of their own,
-        which the cache then keeps.
-        """
+        """Block i's attention for the rows after the scales the cache holds,
+        against the cached keys and values ahead of their own."""
         heads = self.config.heads
 
         def project(piece):
             return split_heads(self._linear(f"block{i}.{piece}", h_in), heads)
 
         q = l2_normalize(project("wq"))
-        k = l2_normalize(project("wk"))
-        v = project("wv")
-        b, _, rows, hd = q.shape
         done = cache.scales_done
         start = self._offsets[done]
-        end = start + rows
-        length = self.schedule.token_count
-        if start > 0 or end < length:
-            if start == 0:
-                cache.keys[i] = np.empty((b, heads, length, hd), dtype=k.values.dtype)
-                cache.values[i] = np.empty((b, heads, length, hd), dtype=v.values.dtype)
-            cache.keys[i][:, :, start:end] = k.values
-            cache.values[i][:, :, start:end] = v.values
-            if start > 0:
-                # only no_grad passes follow the first, so the rows before
-                # this pass's need no graph
-                k = as_tensor(cache.keys[i][:, :, :end])
-                v = as_tensor(cache.values[i][:, :, :end])
+        k, v = cache.extend(i, l2_normalize(project("wk")), project("wv"), start,
+                            self.schedule.token_count)
+        end = start + q.shape[2]
         # one scale's rows see every row up to their end, so its mask block is
         # all zeros; adding it could only turn a -0 score into +0, which
         # softmax maps to the same exp(0) = 1

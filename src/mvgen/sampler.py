@@ -2,22 +2,24 @@
 
 Each scale costs two prior evaluations (condition and null condition) when
 guidance is enabled, one otherwise, so the forward-pass count per image is
-2K or K regardless of how many tokens the schedule holds. `generate` keeps one
-KV cache per condition, so each pass runs only the new scale's n_k^2 rows
-against the cached keys and values of the coarser scales. A scale's rows are
-filtered and drawn in one call each. Top-k and top-p sort each row once and
-keep the masses above its count-th largest, then those equal to it by lowest
-index: the kept set of a stable descending argsort (NaN last), which
-tests/oracles.py keeps as the reference. Every draw uses the first uniform
-of a counter-based generator keyed by (seed, "draw", scale, position); one
-vectorised Philox pass (`rng.first_uniforms`) gives a scale's uniforms, bit
-for bit those of the per-position generators. Draws are order-independent,
-and the paired null evaluation consumes no randomness, so guidance strength 1
-is bit-identical to running without guidance. `generate` runs with per-op
-finiteness checks off and checks each scale's logits and the decoded image;
-`sample_scale` also checks the filtered distribution, which a temperature so
-small that logits / T overflow leaves non-finite; no op is at fault there, so
-that NonOpNumericError raises without a rerun.
+2K or K regardless of how many tokens the schedule holds; `generate` reports
+it from the schedule and its config. `generate` keeps one KV cache per
+condition, so each pass runs only the new scale's n_k^2 rows against the
+cached keys and values of the coarser scales. A scale's rows are filtered
+and drawn in one call each. Top-k and top-p sort each row once and keep the
+masses above its count-th largest, then those equal to it by lowest index:
+the kept set of a stable descending argsort (NaN last), which
+tests/oracles.py keeps as the reference. Row r of a scale's (n, V) rows
+draws with the first uniform of a counter-based generator keyed by (seed,
+"draw", scale, r); one vectorised Philox pass (`rng.first_uniforms`) gives
+the n uniforms, bit for bit those of the per-row generators. Draws are
+order-independent, and the paired null evaluation consumes no randomness, so
+guidance strength 1 is bit-identical to running without guidance.
+`generate` runs with per-op finiteness checks off and checks each scale's
+logits and the decoded image; `sample_scale` also checks the filtered
+distribution, which a temperature so small that logits / T overflow leaves
+non-finite; no op is at fault there, so that NonOpNumericError raises
+without a rerun.
 """
 
 from __future__ import annotations
@@ -114,24 +116,19 @@ def top_p_filter(probs: np.ndarray, p: float) -> np.ndarray:
     return _keep_largest(probs, count, -np.take_along_axis(ranked, count - 1, axis=-1))
 
 
-def categorical_draw(probs: np.ndarray, seed: int, scale_index: int, position: int):
-    """Inverse-CDF draw using the uniform keyed by (seed, scale, position).
-
-    Works along the last axis: row r of a (n, V) array draws with the uniform
-    keyed by position + r, and the n indices come back as an array. The n
-    uniforms come from one `first_uniforms` call, bit for bit the first
-    `rng_for(seed, "draw", scale_index, position + r).random()` of each key.
+def categorical_draw(probs: np.ndarray, seed: int, scale_index: int) -> np.ndarray:
+    """Inverse-CDF draws for a scale's (n, V) rows: row r draws with the
+    uniform keyed by (seed, scale_index, r), and the n indices come back as
+    an array. The n uniforms come from one `first_uniforms` call, bit for bit
+    the first `rng_for(seed, "draw", scale_index, r).random()` of each key.
     """
-    probs = np.asarray(probs)
-    rows = probs.reshape(-1, probs.shape[-1])
-    n, v = rows.shape
-    u = first_uniforms((seed, "draw", scale_index), range(position, position + n))
-    cum = np.cumsum(rows, axis=-1)
+    n, v = probs.shape
+    u = first_uniforms((seed, "draw", scale_index), range(n))
+    cum = np.cumsum(probs, axis=-1)
     idx = (cum <= u[:, None]).sum(axis=-1)  # searchsorted(side="right"): cum never falls
-    last_nonzero = v - 1 - np.argmax(rows[:, ::-1] > 0, axis=-1)
-    missed = (idx >= v) | (rows[np.arange(n), np.minimum(idx, v - 1)] == 0.0)
-    idx = np.where(missed, last_nonzero, idx)
-    return int(idx[0]) if probs.ndim == 1 else idx
+    last_nonzero = v - 1 - np.argmax(probs[:, ::-1] > 0, axis=-1)
+    missed = (idx >= v) | (probs[np.arange(n), np.minimum(idx, v - 1)] == 0.0)
+    return np.where(missed, last_nonzero, idx)
 
 
 def _filtered_distribution(logits: np.ndarray, cfg: SamplingConfig) -> np.ndarray:
@@ -158,8 +155,8 @@ def _finite_logits(logits: np.ndarray, which: str, scale_index: int) -> np.ndarr
 
 
 def sample_scale(model: PriorModel, prefix: list[np.ndarray], c: int, cfg: SamplingConfig,
-                 caches: tuple[ScaleCache, ScaleCache] | None = None) -> tuple[np.ndarray, int]:
-    """Draw the next scale's grid; returns (grid, forward passes used).
+                 caches: tuple[ScaleCache, ScaleCache] | None = None) -> np.ndarray:
+    """Draw the next scale's grid.
 
     `caches` are the (condition, null condition) caches of a walk holding
     the prefix's scales; without them each pass runs the whole prefix in a
@@ -172,13 +169,11 @@ def sample_scale(model: PriorModel, prefix: list[np.ndarray], c: int, cfg: Sampl
     cache, null_cache = caches or (None, None)
     cond_logits = _finite_logits(model.next_scale_logits(prefix, c, cache=cache),
                                  "conditional", k)
-    passes = 1
     if cfg.cfg_scale is None:
         guided = cond_logits.astype(np.float64)
     else:
         uncond_logits = _finite_logits(model.next_scale_logits(
             prefix, model.config.null_index, cache=null_cache), "null", k)
-        passes = 2
         guided = cfg_combine(cond_logits, uncond_logits, cfg.cfg_scale)
     if cfg.temperature == 0.0:
         flat = np.argmax(guided, axis=-1)  # argmax limit; ties -> lowest index
@@ -186,8 +181,8 @@ def sample_scale(model: PriorModel, prefix: list[np.ndarray], c: int, cfg: Sampl
         probs = _filtered_distribution(guided, cfg)
         if not np.isfinite(probs).all():
             raise NonOpNumericError(f"non-finite sampling distribution at scale {k}")
-        flat = categorical_draw(probs, cfg.seed, k, 0)
-    return flat.reshape(n, n), passes
+        flat = categorical_draw(probs, cfg.seed, k)
+    return flat.reshape(n, n)
 
 
 @dataclasses.dataclass
@@ -209,16 +204,13 @@ def generate(prior: PriorModel, tokenizer: TokenizerModel, c: int,
 
     def walk() -> GenerationResult:
         prefix: list[np.ndarray] = []
-        passes = 0
         caches = (ScaleCache(c), ScaleCache(prior.config.null_index))
         for _ in prior.schedule.sizes:
-            grid, used = sample_scale(prior, prefix, c, cfg, caches)
-            prefix.append(grid)
-            passes += used
+            prefix.append(sample_scale(prior, prefix, c, cfg, caches))
         values = decode_batch(tokenizer, [g[None] for g in prefix])[0]
         if not np.isfinite(values).all():
             raise NumericError("non-finite decoded image")
         return GenerationResult(values=values, pyramid=TokenPyramid(tuple(prefix)),
-                                forward_passes=passes)
+                                forward_passes=len(prefix) * (1 if cfg.cfg_scale is None else 2))
 
     return checked_at_boundaries(walk)

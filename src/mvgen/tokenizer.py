@@ -232,9 +232,9 @@ class TokenizerModel:
 
     # -- network pieces --------------------------------------------------
 
-    def encoder_forward(self, x: Tensor) -> Tensor:
-        """(B, 1, R, R) -> (B, C, nK, nK)."""
-        h = x
+    def encoder_forward(self, images: np.ndarray) -> Tensor:
+        """(B, R, R) images -> (B, C, nK, nK) features."""
+        h = as_tensor(images[:, None].astype(self.config.np_dtype()))
         stages = self.config.num_stages
         for i in range(stages):
             h = conv2d(h, self.params[f"enc{i}.w"], self.params[f"enc{i}.b"], stride=2)
@@ -289,7 +289,7 @@ def _walk(model: TokenizerModel, images: np.ndarray,
     dtype = model.config.np_dtype()
     emb = model.codebook.embeddings
     n_latent = model.schedule.latent_size
-    latent = model.encoder_forward(as_tensor(images[:, None, :, :].astype(dtype)))
+    latent = model.encoder_forward(images)
     f = latent
     scales = []
     for k, n in enumerate(model.schedule.sizes):
@@ -451,7 +451,7 @@ def init_codebook_from_data(model: TokenizerModel, batch: np.ndarray, seed: int)
     """Seed codebook rows from encoder features of a data batch (k-means style init)."""
     dtype = model.config.np_dtype()
     with no_grad():
-        f = model.encoder_forward(as_tensor(batch[:, None, :, :].astype(dtype))).values
+        f = model.encoder_forward(batch).values
     cells = []
     for n in model.schedule.sizes:
         fk = resize_bilinear(f, n, n).values

@@ -86,20 +86,10 @@ class ComposedPrior(PriorModel):
         q = l2_normalize(split_heads(self._linear(f"block{i}.wq", h_in), heads))
         k = l2_normalize(split_heads(self._linear(f"block{i}.wk", h_in), heads))
         v = split_heads(self._linear(f"block{i}.wv", h_in), heads)
-        b, _, rows, hd = q.shape
         done = cache.scales_done
         start = self._offsets[done]
-        end = start + rows
-        length = self.schedule.token_count
-        if start > 0 or end < length:
-            if start == 0:
-                cache.keys[i] = np.empty((b, heads, length, hd), dtype=k.values.dtype)
-                cache.values[i] = np.empty((b, heads, length, hd), dtype=v.values.dtype)
-            cache.keys[i][:, :, start:end] = k.values
-            cache.values[i][:, :, start:end] = v.values
-            if start > 0:
-                k = as_tensor(cache.keys[i][:, :, :end])
-                v = as_tensor(cache.values[i][:, :, :end])
+        k, v = cache.extend(i, k, v, start, self.schedule.token_count)
+        end = start + q.shape[2]
         mask = None if end == self._offsets[done + 1] else self._mask_bias[start:end, :end]
         att = attend(q, k, v, self.params[f"block{i}.temp"], mask)
         return self._linear(f"block{i}.wo", merge_heads(att))

@@ -216,8 +216,8 @@ def test_criterion_7_sampling_contracts(tiny_prior):
         p = float(rng.uniform(0.3, 1.0))
         filtered = smp.top_p_filter(smp.top_k_filter(probs, k), p)
         support = set(np.flatnonzero(filtered > 0).tolist())
-        for i in range(50):
-            assert smp.categorical_draw(filtered, case, 0, i) in support
+        for idx in smp.categorical_draw(np.tile(filtered, (50, 1)), case, 0):
+            assert idx in support
             draws += 1
     assert draws == 10_000
 

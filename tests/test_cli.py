@@ -434,14 +434,24 @@ def sample_rewritten(workdir, tmp_path, name, edit):
 
 
 class TestSectionShapes:
-    """A checkpoint section whose shape the model does not expect exits 2."""
+    """A checkpoint section that is missing, or whose shape the model does not
+    expect, exits 2 naming the file it is in."""
 
     @pytest.mark.parametrize("name,section", [("prior", "head.w"), ("prior", "code_table"),
-                                              ("tokenizer", "codebook.embeddings")])
+                                              ("tokenizer", "codebook.embeddings"),
+                                              ("prior", "opt.head.w.step")])
     def test_sample_exits_2(self, workdir, tmp_path, name, section):
         out = sample_rewritten(workdir, tmp_path, name, lambda config, arrays: arrays.update(
             {section: np.zeros((3, 3), dtype=np.float32)}))
-        assert_rejected(out, f"section '{section}' has shape (3, 3)")
+        assert_rejected(out, f"{name}.mvckpt: checkpoint section '{section}' has shape (3, 3)")
+
+    @pytest.mark.parametrize("name,section", [("prior", "block0.wq.w"), ("prior", "code_table"),
+                                              ("tokenizer", "codebook.embeddings"),
+                                              ("tokenizer", "enc0.w")])
+    def test_missing_section_exits_2(self, workdir, tmp_path, name, section):
+        out = sample_rewritten(workdir, tmp_path, name,
+                               lambda config, arrays: arrays.pop(section))
+        assert_rejected(out, f"{name}.mvckpt: checkpoint has no section '{section}'")
 
 
 @pytest.mark.parametrize("name,key,value,needle", [
@@ -820,7 +830,7 @@ def test_rerun_with_echoed_config_reproduces_artifacts(workdir, tmp_path, comman
     assert dir_hash(tmp_path, skip_suffixes=skip) == first
 
 
-@pytest.mark.parametrize("script", ["acceptance_margins", "bit_digest", "cli_traffic"])
+@pytest.mark.parametrize("script", ["acceptance_margins", "bit_digest", "cli_traffic", "mutations"])
 def test_uncollected_script_imports(script):
     # pytest collects none of these scripts; importing one runs no main()
     assert callable(importlib.import_module(script).main)

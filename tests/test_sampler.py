@@ -109,17 +109,16 @@ class TestCategoricalDraw:
             p = float(rng.uniform(0.3, 1.0))
             filtered = smp.top_p_filter(smp.top_k_filter(probs, k), p)
             support = np.flatnonzero(filtered > 0)
-            for draw in range(50):
-                idx = smp.categorical_draw(filtered, seed=case, scale_index=0, position=draw)
-                assert idx in support
-                total += 1
+            draws = smp.categorical_draw(np.tile(filtered, (50, 1)), seed=case, scale_index=0)
+            assert np.isin(draws, support).all()
+            total += draws.size
         assert total == 10_000
 
     def test_deterministic_per_key(self):
-        probs = np.array([0.25, 0.25, 0.25, 0.25])
-        a = smp.categorical_draw(probs, seed=7, scale_index=1, position=3)
-        b = smp.categorical_draw(probs, seed=7, scale_index=1, position=3)
-        assert a == b
+        probs = np.tile([0.25, 0.25, 0.25, 0.25], (4, 1))
+        a = smp.categorical_draw(probs, seed=7, scale_index=1)
+        b = smp.categorical_draw(probs, seed=7, scale_index=1)
+        assert np.array_equal(a, b)
 
     def test_matches_exact_categorical_frequencies(self):
         # 1-scale V=4 toy: head bias fixes the distribution exactly
@@ -129,7 +128,7 @@ class TestCategoricalDraw:
         counts = np.zeros(4)
         n = 100_000
         for i in range(n):
-            counts[smp.categorical_draw(probs, seed=i, scale_index=0, position=0)] += 1
+            counts[smp.categorical_draw(probs[None], seed=i, scale_index=0)[0]] += 1
         expected = probs * n
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 16.27  # chi-square(3) 99.9th percentile
@@ -138,20 +137,16 @@ class TestCategoricalDraw:
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9), vocab=st.integers(1, 12),
        k=st.integers(1, 13), p=st.floats(0.01, 1.0), tied=st.booleans())
-def test_row_wise_filters_and_draw_equal_one_dimensional_calls(seed, rows, vocab, k, p, tied):
+def test_row_wise_filters_equal_one_dimensional_calls(seed, rows, vocab, k, p, tied):
     rng = np.random.default_rng(seed)
     logits = (rng.integers(0, 3, size=(rows, vocab)).astype(np.float64) if tied
               else rng.normal(size=(rows, vocab)))
     probs = np.exp(logits - logits.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
     top_k, top_p = smp.top_k_filter(probs, k), smp.top_p_filter(probs, p)
-    both = smp.top_p_filter(top_k, p)
-    draws = smp.categorical_draw(both, seed, 2, 5)
-    assert draws.shape == (rows,)
     for r in range(rows):
         assert np.array_equal(top_k[r], smp.top_k_filter(probs[r], k))
         assert np.array_equal(top_p[r], smp.top_p_filter(probs[r], p))
-        assert draws[r] == smp.categorical_draw(both[r], seed, 2, 5 + r)
 
 
 @hypothesis.seed(21)
@@ -196,14 +191,14 @@ def inverse_cdf(row, u):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(-2**100, 2**100), rows=st.integers(1, 256), vocab=st.integers(1, 16),
-       k=st.integers(1, 16), scale_index=st.integers(0, 9), position=st.integers(0, 10**6))
-def test_categorical_draw_uses_the_documented_key(seed, rows, vocab, k, scale_index, position):
+       k=st.integers(1, 16), scale_index=st.integers(0, 9))
+def test_categorical_draw_uses_the_documented_key(seed, rows, vocab, k, scale_index):
     rng = np.random.default_rng(abs(seed))
     probs = smp.top_k_filter(rng.dirichlet(np.ones(vocab), size=rows), k)
-    draws = smp.categorical_draw(probs, seed, scale_index, position)
+    draws = smp.categorical_draw(probs, seed, scale_index)
     assert draws.shape == (rows,)
     for r in range(rows):
-        u = rng_for(seed, "draw", scale_index, position + r).random()
+        u = rng_for(seed, "draw", scale_index, r).random()
         assert draws[r] == inverse_cdf(probs[r], u)
 
 
@@ -211,8 +206,8 @@ class TestSampleScale:
     def test_greedy_temperature_zero_deterministic(self):
         model = toy_prior()
         cfg = smp.SamplingConfig(cfg_scale=1.0, temperature=0.0, seed=0)
-        a, _ = smp.sample_scale(model, [], 0, cfg)
-        b, _ = smp.sample_scale(model, [], 0, cfg)
+        a = smp.sample_scale(model, [], 0, cfg)
+        b = smp.sample_scale(model, [], 0, cfg)
         assert np.array_equal(a, b)
         logits = model.next_scale_logits([], 0)
         assert a[0, 0] == int(np.argmax(logits[0]))
@@ -220,15 +215,9 @@ class TestSampleScale:
     def test_same_seed_identical_grids(self):
         model = toy_prior()
         cfg = smp.SamplingConfig(cfg_scale=2.0, top_k=4, top_p=0.9, seed=42)
-        a, _ = smp.sample_scale(model, [np.array([[1]])], 1, cfg)
-        b, _ = smp.sample_scale(model, [np.array([[1]])], 1, cfg)
+        a = smp.sample_scale(model, [np.array([[1]])], 1, cfg)
+        b = smp.sample_scale(model, [np.array([[1]])], 1, cfg)
         assert np.array_equal(a, b)
-
-    def test_pass_count(self):
-        model = toy_prior()
-        _, guided = smp.sample_scale(model, [], 0, smp.SamplingConfig(cfg_scale=2.0))
-        _, unguided = smp.sample_scale(model, [], 0, smp.SamplingConfig(cfg_scale=None))
-        assert guided == 2 and unguided == 1
 
     def test_top_k_above_vocab_rejected(self):
         model = toy_prior(vocab=8)
@@ -237,14 +226,20 @@ class TestSampleScale:
 
 
 class TestGenerate:
-    def test_forward_pass_count_2k_independent_of_tokens(self):
-        for schedule in ((1, 2), (1, 2, 3), (1, 2, 3, 4)):
+    def test_forward_pass_count_2k_independent_of_tokens(self, monkeypatch):
+        """`forward_passes`, which `generate` works out from its config, is
+        the number of prior evaluations the walk ran: 2K guided, K unguided."""
+        calls = []
+        forward = pr.PriorModel.next_scale_logits
+        monkeypatch.setattr(pr.PriorModel, "next_scale_logits",
+                            lambda *a, **kw: calls.append(1) or forward(*a, **kw))
+        for schedule in ((1, 2), (1, 2, 3), (1, 2, 3, 4), tok.PAPER_SCHEDULE.sizes):
             model = toy_prior(schedule=schedule)
             tkn = matched_tokenizer(schedule=schedule)
-            out = smp.generate(model, tkn, 0, smp.SamplingConfig(cfg_scale=4.0, seed=1))
-            assert out.forward_passes == 2 * len(schedule)
-            out = smp.generate(model, tkn, 0, smp.SamplingConfig(cfg_scale=None, seed=1))
-            assert out.forward_passes == len(schedule)
+            for cfg_scale, per_scale in ((4.0, 2), (None, 1)):
+                calls.clear()
+                out = smp.generate(model, tkn, 0, smp.SamplingConfig(cfg_scale=cfg_scale, seed=1))
+                assert out.forward_passes == len(calls) == per_scale * len(schedule)
 
     @pytest.mark.parametrize("schedule", [(1, 2, 3, 4), tok.PAPER_SCHEDULE.sizes],
                              ids=["desk", "paper"])
@@ -310,8 +305,7 @@ class TestGenerate:
         out = smp.generate(model, tkn, 1, cfg)
         prefix = []
         for _ in schedule:
-            grid, _ = smp.sample_scale(model, prefix, 1, cfg)
-            prefix.append(grid)
+            prefix.append(smp.sample_scale(model, prefix, 1, cfg))
         for a, b in zip(out.pyramid.grids, prefix):
             assert np.array_equal(a, b)
         assert np.array_equal(out.values, tok.decode_batch(tkn, [g[None] for g in prefix])[0])
@@ -331,7 +325,7 @@ class TestGenerate:
     def test_non_finite_distribution_raises_instead_of_drawing_token_0(self):
         model = toy_prior(schedule=(1,), vocab=4, bias=[0.5, 2.0, 1.0, -1.0])
         model.params["head.w"].values[:] = 0.0  # logits are the bias
-        grid, _ = smp.sample_scale(model, [], 0, smp.SamplingConfig(temperature=1e-300))
+        grid = smp.sample_scale(model, [], 0, smp.SamplingConfig(temperature=1e-300))
         assert grid.tolist() == [[1]]
         # logits / T overflow to inf, with and without the filters on the NaN rows
         for cfg in (smp.SamplingConfig(temperature=1e-310),

@@ -106,7 +106,7 @@ class TestEncodeDecode:
         rng = np.random.default_rng(3)
         image = rng.random((8, 8))
         with tok.no_grad():
-            latent = model.encoder_forward(as_tensor(image[None, None])).values
+            latent = model.encoder_forward(image[None]).values
         cells = latent[0].transpose(1, 2, 0).reshape(-1, 4)
         model.codebook.embeddings = cells.copy()  # codebook = exact latents
         grids = tok.encode_batch(model, image[None])
