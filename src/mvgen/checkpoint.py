@@ -153,12 +153,24 @@ def param_arrays(params: dict, optimizer_state: bool) -> dict[str, np.ndarray]:
 
 
 def section(arrays: dict[str, np.ndarray], name: str, shape: tuple, dtype) -> np.ndarray:
-    """Section `name` as dtype; ArtifactError unless it has `shape`."""
+    """Section `name` as dtype; ArtifactError unless it has `shape` and only
+    finite values (training never saves a NaN or Inf)."""
     arr = arrays[name]
     if arr.shape != tuple(shape):
         raise _section_error(arrays, f"checkpoint section {name!r} has shape {arr.shape}, "
                                      f"the model expects {tuple(shape)}")
+    if not np.isfinite(arr).all():
+        raise _section_error(arrays, f"checkpoint section {name!r} holds a non-finite value")
     return arr.astype(dtype)
+
+
+def _step(arrays: dict[str, np.ndarray], name: str) -> int:
+    """An AdamW step section: an integer a float32 holds exactly, so at most 2**24."""
+    step = section(arrays, name, (1,), np.float64)[0]
+    if not (0 <= step <= 2 ** 24 and step == int(step)):
+        raise _section_error(arrays, f"checkpoint section {name!r} holds step {float(step)!r}, "
+                                     f"not an integer in [0, 2**24]")
+    return int(step)
 
 
 def load_params(params: dict, arrays: dict[str, np.ndarray], dtype) -> None:
@@ -169,7 +181,7 @@ def load_params(params: dict, arrays: dict[str, np.ndarray], dtype) -> None:
         if f"opt.{name}.m" in arrays:
             p.m = section(arrays, f"opt.{name}.m", shape, dtype)
             p.v = section(arrays, f"opt.{name}.v", shape, dtype)
-            p.step = int(section(arrays, f"opt.{name}.step", (1,), np.float64)[0])
+            p.step = _step(arrays, f"opt.{name}.step")
 
 
 def save_model(path: str | os.PathLike, kind: str, config, arrays: dict[str, np.ndarray],

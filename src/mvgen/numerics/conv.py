@@ -1,7 +1,9 @@
 """2D convolution, transposed convolution and bilinear resampling.
 
 All spatial ops use channels-first layout (B, C, H, W). Convolutions run as
-im2col matmuls with a 1-pixel zero border (`PADDING`); the transposed
+im2col matmuls with a 1-pixel zero border (`PADDING`): `_im2col` copies the
+input into a zero-bordered buffer and one strided window view of that into
+contiguous columns, which moves data and computes nothing; the transposed
 convolution, always at stride 2, reuses the scatter (col2im) path, which is
 also the exact gradient of the forward convolution. Both take their kernel
 gradient from one product over the whole batch (`_kernel_grad`). Bilinear
@@ -22,13 +24,19 @@ PADDING = 1
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
-    """x (B,C,H,W) -> cols (B, C*kh*kw, Ho*Wo) over the zero-padded x."""
-    x = np.pad(x, ((0, 0), (0, 0), (PADDING, PADDING), (PADDING, PADDING)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    b, c, ho, wo = windows.shape[:4]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, ho * wo)
-    return np.ascontiguousarray(cols), ho, wo
+    """x (B,C,H,W) -> cols (B, C*kh*kw, Ho*Wo) over the zero-padded x: x goes
+    into a zero-bordered buffer, then one strided window view of it is
+    copied into the columns. Data moves; no value is computed."""
+    b, c, h, w = x.shape
+    padded = np.zeros((b, c, h + 2 * PADDING, w + 2 * PADDING), dtype=x.dtype)
+    padded[:, :, PADDING:h + PADDING, PADDING:w + PADDING] = x
+    ho = (h + 2 * PADDING - kh) // stride + 1
+    wo = (w + 2 * PADDING - kw) // stride + 1
+    sb, sc, sh, sw = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (b, c, kh, kw, ho, wo), (sb, sc, sh, sw, stride * sh, stride * sw),
+        writeable=False)
+    return windows.reshape(b, c * kh * kw, ho * wo), ho, wo
 
 
 def _col2im(cols: np.ndarray, b: int, c: int, h: int, w: int,
@@ -56,6 +64,8 @@ def conv2d(x, weight, bias, stride: int = 1) -> Tensor:
     cout, cin_w, kh, kw = weight.values.shape
     if cin != cin_w:
         raise ContractError(f"conv2d channel mismatch: input {cin}, weight {cin_w}")
+    if kh > h + 2 * PADDING or kw > w + 2 * PADDING:
+        raise ContractError(f"conv2d kernel {kh}x{kw} exceeds the padded {h}x{w} input")
     cols, ho, wo = _im2col(x.values, kh, kw, stride)
     w_mat = weight.values.reshape(cout, cin * kh * kw)
     out = (w_mat @ cols).reshape(b, cout, ho, wo) + bias.values[None, :, None, None]

@@ -7,21 +7,23 @@ strictly coarser than k plus the dataset-label condition, and the keys and
 values of a finished scale never change: every forward walks a `ScaleCache`,
 and one that holds the coarser scales runs only the new scale's rows against
 them (a fresh one runs the whole prefix). A walk keeps what its later passes
-would only recompute: the condition's AdaLN modulations and each block's keys
-and values, which `ScaleCache.extend` stores and hands back. A pass of exactly
-one scale adds no mask, as its block of the mask is all zeros. A block builds
-about 18 graph nodes per pass: the fused `modulate`, `gated_add`,
-`split_heads`, `attend` and `merge_heads` ops stand, bit for bit, for the
-compositions tests/oracles.py's `ComposedPrior` spells out. Inputs for
-scale 1 are the condition embedding; inputs for scale k>1 are the sum of the
-code embeddings of all coarser scales, each upsampled to the finest grid,
-then resized to the scale-k grid and linearly projected (a residual code
-alone says little of the image so far). The sum is of raw codebook rows:
-the tokenizer's per-scale refinements (Phi) are not applied, so it is not
-the tokenizer's partial reconstruction. The condition also drives every
-block through adaptive layernorm modulation, and queries/keys are
-L2-normalized with a learned per-head temperature. The output head starts at
-zero, so an untrained model predicts the uniform distribution exactly.
+would only recompute: the condition's AdaLN modulations, each block's keys
+and values, which `ScaleCache.extend` stores and hands back, and in a
+`CodeInputs` the label-free inputs of scales 2..K, which the condition and
+null caches of a guided walk share. A pass of exactly one scale adds no mask,
+as its block of the mask is all zeros. A block builds about 18 graph nodes
+per pass: the fused `modulate`, `gated_add`, `split_heads`, `attend` and
+`merge_heads` ops stand, bit for bit, for the compositions tests/oracles.py's
+`ComposedPrior` spells out. Inputs for scale 1 are the condition embedding;
+inputs for scale k>1 are the sum of the code embeddings of all coarser
+scales, each upsampled to the finest grid, then resized to the scale-k grid
+and linearly projected (a residual code alone says little of the image so
+far). The sum is of raw codebook rows: the tokenizer's per-scale refinements
+(Phi) are not applied, so it is not the tokenizer's partial reconstruction.
+The condition also drives every block through adaptive layernorm modulation,
+and queries/keys are L2-normalized with a learned per-head temperature. The
+output head starts at zero, so an untrained model predicts the uniform
+distribution exactly.
 """
 
 from __future__ import annotations
@@ -89,6 +91,19 @@ class PriorConfig(ModelConfig):
 
 
 @dataclasses.dataclass
+class CodeInputs:
+    """The inputs of a walk's scales 2..K, which depend on its grids and not
+    on the condition, so a guided walk's two caches share one: `rows[j - 1]`
+    is scale j+1's (B, n^2, W) input (its projected code sum plus position
+    and level embeddings), built from `grids[:j]` on the first pass that
+    needs it; `acc` is the latent accumulator of upsampled code embeddings
+    after those grids."""
+    grids: list[np.ndarray] = dataclasses.field(default_factory=list)
+    rows: list[Tensor] = dataclasses.field(default_factory=list)
+    acc: np.ndarray | None = None
+
+
+@dataclasses.dataclass
 class ScaleCache:
     """A coarse-to-fine walk through the prior, which every forward runs.
 
@@ -100,14 +115,15 @@ class ScaleCache:
     scales with their + 1 applied) and the final layer's two. `keys` and
     `values` are each block's (B, heads, L, hd) arrays over the whole
     schedule: `extend` writes a pass's own rows and hands the pass the rows
-    up to its end. A pass that covers the whole schedule keeps none. `acc`
-    is the latent accumulator of upsampled code embeddings. So a cache is
-    valid for one set of weights; `condition` is the one condition a
-    `next_scale_logits` walk is built for.
+    up to its end. A pass that covers the whole schedule keeps none.
+    `inputs` holds the label-free inputs of scales 2..K, which the caches of
+    the two conditions of one walk may share; scale 1's condition rows are
+    the cache's own. So a cache is valid for one set of weights; `condition`
+    is the one condition a `next_scale_logits` walk is built for.
     """
     condition: int | None = None
     scales_done: int = 0
-    acc: np.ndarray | None = None
+    inputs: CodeInputs = dataclasses.field(default_factory=CodeInputs)
     modulations: list[tuple[Tensor, ...]] = dataclasses.field(default_factory=list)
     keys: dict[int, np.ndarray] = dataclasses.field(default_factory=dict)
     values: dict[int, np.ndarray] = dataclasses.field(default_factory=dict)
@@ -208,10 +224,13 @@ class PriorModel:
         """Inputs for the scales after those the cache holds, up to len(prefix)+1.
 
         prefix_grids[j] is the (B, n, n) token grid of scale j+1; labels are
-        per-sample condition indices (null index allowed). Scale k>1 sees the
-        sum of the upsampled code embeddings of scales 1 .. k-1, accumulated
-        on the finest grid and resized to its own. The cache (a fresh one by
-        default) supplies the sum so far and takes it back grown.
+        per-sample condition indices (null index allowed). Scale 1 sees the
+        condition embedding; scale k>1 the projected sum of the upsampled
+        code embeddings of scales 1 .. k-1, accumulated on the finest grid
+        and resized to its own. Each scale adds its position and level
+        embeddings. The cache (a fresh one by default) supplies scale k>1's
+        rows from its `inputs` when they are built, and raises if they were
+        built from other grids.
         """
         cfg = self.config
         cache = ScaleCache() if cache is None else cache
@@ -222,30 +241,41 @@ class PriorModel:
         if k_active > self.schedule.num_scales:
             raise ContractError("prefix longer than the schedule allows")
         first = cache.scales_done
-        b = labels.shape[0]
-        dtype = cfg.np_dtype()
-
-        pieces = []
+        rows = []
         if first == 0:
             n1 = self.schedule.sizes[0]
             start = np.repeat(labels[:, None], n1 * n1, axis=1)
-            pieces.append(take(self.params["cond_emb"], start))  # (B, n1^2, W)
-        n_latent = self.schedule.latent_size
-        acc = (np.zeros((b, cfg.code_dim, n_latent, n_latent), dtype=dtype)
-               if cache.acc is None else cache.acc)
+            rows.append(self._placed(take(self.params["cond_emb"], start), 0))  # (B, n1^2, W)
         for j in range(max(first, 1), k_active):
-            m, n = self.schedule.sizes[j - 1:j + 1]
-            prev = _check_grid(prefix_grids[j - 1], j - 1, (b, m, m), cfg.vocab_size)
-            acc = acc + resize_bilinear(_lookup(prev, self.code_table), n_latent, n_latent).values
-            up = resize_bilinear(acc, n, n).values
-            flat = up.transpose(0, 2, 3, 1).reshape(b, n * n, cfg.code_dim)
-            pieces.append(self._linear("input_proj", flat))
-        cache.acc = acc
-        seq = pieces[0] if len(pieces) == 1 else concat(pieces, axis=1)
-        start, end = self._offsets[first], self._offsets[k_active]
-        pos = self.params["pos_emb"][start:end]
-        level = take(self.params["level_emb"], self._level_ids[start:end])
-        return seq + pos + level
+            rows.append(self._code_rows(prefix_grids[j - 1], j, len(labels), cache.inputs))
+        return rows[0] if len(rows) == 1 else concat(rows, axis=1)
+
+    def _placed(self, x, k: int) -> Tensor:
+        """Scale k's (B, n^2, W) rows x plus their position and level embeddings."""
+        start, end = self._offsets[k], self._offsets[k + 1]
+        return x + self.params["pos_emb"][start:end] + take(self.params["level_emb"],
+                                                            self._level_ids[start:end])
+
+    def _code_rows(self, grid: np.ndarray, j: int, b: int, inputs: CodeInputs) -> Tensor:
+        """Scale j+1's input rows (j >= 1), whose newest code grid is scale
+        j's: `inputs` builds them once, from its accumulator."""
+        cfg = self.config
+        m, n = self.schedule.sizes[j - 1:j + 1]
+        grid = _check_grid(grid, j - 1, (b, m, m), cfg.vocab_size)
+        if j <= len(inputs.rows):
+            if not np.array_equal(grid, inputs.grids[j - 1]):
+                raise ContractError(f"the cache's inputs were built from another grid {j - 1}")
+            return inputs.rows[j - 1]
+        n_latent = self.schedule.latent_size
+        acc = (np.zeros((b, cfg.code_dim, n_latent, n_latent), dtype=cfg.np_dtype())
+               if inputs.acc is None else inputs.acc)
+        acc = acc + resize_bilinear(_lookup(grid, self.code_table), n_latent, n_latent).values
+        up = resize_bilinear(acc, n, n).values
+        flat = up.transpose(0, 2, 3, 1).reshape(b, n * n, cfg.code_dim)
+        inputs.acc = acc
+        inputs.grids.append(grid.copy())
+        inputs.rows.append(self._placed(self._linear("input_proj", flat), j))
+        return inputs.rows[-1]
 
     def _linear(self, name: str, x) -> Tensor:
         return linear(x, self.params[f"{name}.w"], self.params[f"{name}.b"])

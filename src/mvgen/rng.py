@@ -7,8 +7,9 @@ corpus generation, training batches and per-position sampling reproducible
 without any shared mutable RNG state.
 
 `first_uniforms` gives the first `random()` of many such generators at once,
-bit for bit: the keys share a prefix, so the prefix is hashed once, and
-numpy's Philox4x64-10 runs in uint64 arrays under all keys together.
+bit for bit: the keys come in groups that share a prefix, so each prefix is
+hashed once, and numpy's Philox4x64-10 runs in uint64 arrays under the keys of
+every group together (a sampling walk passes one group per scale).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .numerics import ContractError
 # Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11)
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-# 0-d uint64 operands: numpy's cheapest path on the few-row arrays of a scale
+# 0-d uint64 operands: numpy's cheapest path on the few-row arrays of a walk
 _LOW32, _32, _11 = (np.array(v, dtype=np.uint64) for v in (0xFFFFFFFF, 32, 11))
 _M_LO, _M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _32
 
@@ -53,20 +54,25 @@ def rng_for(*key_parts: int | str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def first_uniforms(prefix: tuple, positions) -> np.ndarray:
-    """u[r] == rng_for(*prefix, positions[r]).random(), bit for bit.
+def first_uniforms(groups) -> list[np.ndarray]:
+    """One array per (prefix, positions) group, u[r] ==
+    rng_for(*prefix, positions[r]).random(), bit for bit.
 
     A fresh Philox generator's first block is Philox4x64-10 of the counter
     [1, 0, 0, 0]; its first round has a closed form, the other nine run here
-    on (2, n) uint64 arrays, and random() is the first word's top 53 bits.
+    once on (2, n) uint64 arrays over every group's keys, and random() is the
+    first word's top 53 bits.
     """
-    h = _hasher(prefix)
-    digests = []
-    for pos in positions:
-        g = h.copy()
-        g.update(_key_part(pos))
-        digests.append(g.digest())
-    key = np.frombuffer(b"".join(digests), dtype=np.uint64).reshape(-1, 2).T
+    digests, ends = [], []
+    for prefix, positions in groups:
+        h = _hasher(prefix)
+        for pos in positions:
+            g = h.copy()
+            g.update(_key_part(pos))
+            digests.append(g.digest())
+        ends.append(len(digests))
+    # (2, n) in C order: the rounds run twice as fast as on the transposed view
+    key = np.frombuffer(b"".join(digests), dtype=np.uint64).reshape(-1, 2).T.copy()
     # after round 0: words 0 and 2 are the key, words 1 and 3 are 0 and M0
     x02, x13 = key, np.array([[0], [_PHILOX_M[0, 0]]], dtype=np.uint64)
     for _ in range(9):
@@ -77,4 +83,5 @@ def first_uniforms(prefix: tuple, positions) -> np.ndarray:
         w = (t & _LOW32) + _M_LO * hi
         mul_hi = _M_HI * hi + (t >> _32) + (w >> _32)
         x02, x13 = mul_hi[::-1] ^ x13 ^ key, (_PHILOX_M * x02)[::-1]
-    return (x02[0] >> _11) * 2.0 ** -53
+    u = (x02[0] >> _11) * 2.0 ** -53
+    return [u[start:end] for start, end in zip([0] + ends, ends)]

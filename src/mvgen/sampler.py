@@ -5,31 +5,34 @@ guidance is enabled, one otherwise, so the forward-pass count per image is
 2K or K regardless of how many tokens the schedule holds; `generate` reports
 it from the schedule and its config. `generate` keeps one KV cache per
 condition, so each pass runs only the new scale's n_k^2 rows against the
-cached keys and values of the coarser scales. A scale's rows are filtered
-and drawn in one call each. Top-k and top-p sort each row once and keep the
-masses above its count-th largest, then those equal to it by lowest index:
-the kept set of a stable descending argsort (NaN last), which
-tests/oracles.py keeps as the reference. Row r of a scale's (n, V) rows
-draws with the first uniform of a counter-based generator keyed by (seed,
-"draw", scale, r); one vectorised Philox pass (`rng.first_uniforms`) gives
-the n uniforms, bit for bit those of the per-row generators. Draws are
-order-independent, and the paired null evaluation consumes no randomness, so
-guidance strength 1 is bit-identical to running without guidance.
-`generate` runs with per-op finiteness checks off and checks each scale's
-logits and the decoded image; `sample_scale` also checks the filtered
-distribution, which a temperature so small that logits / T overflow leaves
-non-finite; no op is at fault there, so that NonOpNumericError raises
-without a rerun.
+cached keys and values of the coarser scales, and the two caches share one
+`CodeInputs`: the label-free inputs of scales 2..K are built once per walk,
+only scale 1's condition rows once per condition. A scale's rows are
+filtered and drawn in one call each. Top-k and top-p sort each row once and
+keep the masses above its count-th largest, then those equal to it by lowest
+index: the kept set of a stable descending argsort (NaN last), which
+tests/oracles.py keeps as the reference. Row r of scale k draws with the
+first uniform of a counter-based generator keyed by (seed, "draw", k, r);
+`walk_uniforms` gives every scale's uniforms in one vectorised Philox pass
+(`rng.first_uniforms`), bit for bit those of the per-row generators, before
+the walk's first pass. Draws are order-independent, and the paired null
+evaluation consumes no randomness, so guidance strength 1 is bit-identical
+to running without guidance. `generate` runs with per-op finiteness checks
+off and checks each scale's logits and the decoded image; `sample_scale`
+also checks the filtered distribution, which a temperature so small that
+logits / T overflow leaves non-finite; no op is at fault there, so that
+NonOpNumericError raises without a rerun.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 import numpy as np
 
 from .numerics import ContractError, NonOpNumericError, NumericError, checked_at_boundaries
-from .prior import PriorModel, ScaleCache
+from .prior import CodeInputs, PriorModel, ScaleCache
 from .rng import first_uniforms
 from .tokenizer import TokenizerModel, TokenPyramid, decode_batch
 
@@ -116,14 +119,16 @@ def top_p_filter(probs: np.ndarray, p: float) -> np.ndarray:
     return _keep_largest(probs, count, -np.take_along_axis(ranked, count - 1, axis=-1))
 
 
-def categorical_draw(probs: np.ndarray, seed: int, scale_index: int) -> np.ndarray:
-    """Inverse-CDF draws for a scale's (n, V) rows: row r draws with the
-    uniform keyed by (seed, scale_index, r), and the n indices come back as
-    an array. The n uniforms come from one `first_uniforms` call, bit for bit
-    the first `rng_for(seed, "draw", scale_index, r).random()` of each key.
-    """
+def walk_uniforms(seed: int, sizes: Sequence[int]) -> list[np.ndarray]:
+    """Each scale's draw uniforms, in one Philox pass: row r of scale k (n_k^2
+    rows) draws with the first `rng_for(seed, "draw", k, r).random()`."""
+    return first_uniforms([((seed, "draw", k), range(n * n)) for k, n in enumerate(sizes)])
+
+
+def categorical_draw(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws for a scale's (n, V) rows: row r draws with u[r], and
+    the n indices come back as an array."""
     n, v = probs.shape
-    u = first_uniforms((seed, "draw", scale_index), range(n))
     cum = np.cumsum(probs, axis=-1)
     idx = (cum <= u[:, None]).sum(axis=-1)  # searchsorted(side="right"): cum never falls
     last_nonzero = v - 1 - np.argmax(probs[:, ::-1] > 0, axis=-1)
@@ -155,8 +160,9 @@ def _finite_logits(logits: np.ndarray, which: str, scale_index: int) -> np.ndarr
 
 
 def sample_scale(model: PriorModel, prefix: list[np.ndarray], c: int, cfg: SamplingConfig,
+                 uniforms: np.ndarray,
                  caches: tuple[ScaleCache, ScaleCache] | None = None) -> np.ndarray:
-    """Draw the next scale's grid.
+    """Draw the next scale's grid with its `walk_uniforms` entry.
 
     `caches` are the (condition, null condition) caches of a walk holding
     the prefix's scales; without them each pass runs the whole prefix in a
@@ -181,7 +187,7 @@ def sample_scale(model: PriorModel, prefix: list[np.ndarray], c: int, cfg: Sampl
         probs = _filtered_distribution(guided, cfg)
         if not np.isfinite(probs).all():
             raise NonOpNumericError(f"non-finite sampling distribution at scale {k}")
-        flat = categorical_draw(probs, cfg.seed, k)
+        flat = categorical_draw(probs, uniforms)
     return flat.reshape(n, n)
 
 
@@ -201,12 +207,14 @@ def generate(prior: PriorModel, tokenizer: TokenizerModel, c: int,
     """
     if prior.schedule.sizes != tokenizer.schedule.sizes:
         raise ContractError("prior and tokenizer schedules differ")
+    uniforms = walk_uniforms(cfg.seed, prior.schedule.sizes)
 
     def walk() -> GenerationResult:
         prefix: list[np.ndarray] = []
-        caches = (ScaleCache(c), ScaleCache(prior.config.null_index))
-        for _ in prior.schedule.sizes:
-            prefix.append(sample_scale(prior, prefix, c, cfg, caches))
+        inputs = CodeInputs()
+        caches = (ScaleCache(c, inputs=inputs), ScaleCache(prior.config.null_index, inputs=inputs))
+        for u in uniforms:
+            prefix.append(sample_scale(prior, prefix, c, cfg, u, caches))
         values = decode_batch(tokenizer, [g[None] for g in prefix])[0]
         if not np.isfinite(values).all():
             raise NumericError("non-finite decoded image")

@@ -4,19 +4,20 @@ collected by pytest).
 Each mutation replaces a few lines of src/ by a plausible mistake: attention
 that stops seeing the coarser scales, AdaLN without its gates or shifts, a
 wrong gelu derivative, draws on other keys, flipped guidance, a miscounted
-walk. For each, one at a time, the script copies src/, tests/, perfbench/
-and pyproject.toml into a temporary directory, applies the mutation there
-and runs `pytest -x` over tests/ without tests/test_acceptance.py. It prints
-each mutation with the first test that failed, or SURVIVED, and exits 1 if
-any mutation survived:
+walk, a null walk that reads the condition's rows or modulations, a decode
+without its refinements. For each, one at a time, the script copies src/,
+tests/, perfbench/ and pyproject.toml into a temporary directory, applies the
+mutation there and runs `pytest -x` over tests/ without
+tests/test_acceptance.py. It prints each mutation with the first test that
+failed, or SURVIVED, and exits 1 if any mutation survived:
 
     OPENBLAS_NUM_THREADS=1 python tests/mutations.py [name ...]
 
 A mutation whose lines are no longer in src/ stops the script, so the list
 follows the code. Each run stops at its first failure, so a caught mutation
 takes well under a minute, most of it in tests/test_cli.py, which runs
-before the prior and sampler tests; the nine took six and a half minutes
-together on a 2-core x86-64 host. One that survives runs every test.
+before the prior and sampler tests; the thirteen took twelve and a half
+minutes together on a 2-core x86-64 host. One that survives runs every test.
 """
 
 import os
@@ -52,13 +53,27 @@ MUTATIONS = {
     "gelu-derivative-without-cubic-term": ("numerics/tensor.py", [(
         "xx *= 3 * 0.044715", "xx *= 0.0")]),
     "draw-keyed-one-off": ("sampler.py", [(
-        'first_uniforms((seed, "draw", scale_index), range(n))',
-        'first_uniforms((seed, "draw", scale_index), range(1, n + 1))')]),
+        'first_uniforms([((seed, "draw", k), range(n * n))',
+        'first_uniforms([((seed, "draw", k), range(1, n * n + 1))')]),
+    "uniforms-from-previous-scale": ("sampler.py", [(
+        'first_uniforms([((seed, "draw", k), range(n * n))',
+        'first_uniforms([((seed, "draw", k - 1), range(n * n))')]),
+    "null-walk-reads-condition-rows": ("prior.py", [(
+        'rows.append(self._placed(take(self.params["cond_emb"], start), 0))',
+        'rows.append(cache.inputs.__dict__.setdefault(\n'
+        '                "scale_1", self._placed(take(self.params["cond_emb"], start), 0)))')]),
+    "modulations-reused-across-conditions": ("sampler.py", [(
+        "caches = (ScaleCache(c, inputs=inputs), ScaleCache(prior.config.null_index, inputs=inputs))",
+        "caches = (cond := ScaleCache(c, inputs=inputs), ScaleCache(\n"
+        "            prior.config.null_index, inputs=inputs, modulations=cond.modulations))")]),
     "guidance-sign-flipped": ("sampler.py", [(
         "return uncond + s * (cond - uncond)", "return uncond - s * (cond - uncond)")]),
     "guided-walk-counts-k-passes": ("sampler.py", [(
         "forward_passes=len(prefix) * (1 if cfg.cfg_scale is None else 2)",
         "forward_passes=len(prefix)")]),
+    "phi-left-out-of-decode": ("tokenizer.py", [(
+        "f = f + model.phi(k, resize_bilinear(zq, n_latent, n_latent)).values",
+        "f = f + resize_bilinear(zq, n_latent, n_latent).values")]),
 }
 
 

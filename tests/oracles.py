@@ -1,13 +1,15 @@
 """Reference code, apart from the package it checks, that the tests judge mvgen
-against: the scalar quantizer, layernorm in numpy's own reductions, the fused
-tensor ops composed from the primitive ops, the prior's forward built from
-those compositions, AdamW's out-of-place step, the argsort top-k/top-p
-filters, a pyramid's joint log-likelihood whole and scale by scale, and the
-geometry detectors (not collected by pytest)."""
+against: the scalar quantizer, layernorm in numpy's own reductions, im2col by
+`np.pad` and `sliding_window_view`, the fused tensor ops composed from the
+primitive ops, the prior's forward built from those compositions, AdamW's
+out-of-place step, the argsort top-k/top-p filters, a guided walk whose two
+caches build their own inputs, a pyramid's joint log-likelihood whole and
+scale by scale, and the geometry detectors (not collected by pytest)."""
 
 import numpy as np
 
 from mvgen import datagen as dg
+from mvgen import sampler as smp
 from mvgen.numerics import (
     NumericError,
     Tensor,
@@ -21,7 +23,8 @@ from mvgen.numerics import (
     take,
 )
 from mvgen.prior import PriorModel, ScaleCache
-from mvgen.tokenizer import Codebook, TokenPyramid
+from mvgen.numerics.conv import PADDING
+from mvgen.tokenizer import Codebook, TokenPyramid, decode_batch
 
 
 def default_labels() -> list[tuple[dg.DatasetLabel, str]]:
@@ -47,6 +50,17 @@ def layernorm(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     grad = inv * (g - g.mean(axis=-1, keepdims=True)
                   - out * (g * out).mean(axis=-1, keepdims=True))
     return out, grad
+
+
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int):
+    """x (B,C,H,W) -> (cols (B, C*kh*kw, Ho*Wo), Ho, Wo) over the zero-padded x,
+    by `np.pad` and `sliding_window_view`."""
+    x = np.pad(x, ((0, 0), (0, 0), (PADDING, PADDING), (PADDING, PADDING)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    b, c, ho, wo = windows.shape[:4]
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, ho * wo)
+    return np.ascontiguousarray(cols), ho, wo
 
 
 # -- the fused tensor ops, composed from the primitive ops they replace ---------
@@ -142,6 +156,16 @@ def top_p_filter(probs: np.ndarray, p: float) -> np.ndarray:
         return probs.copy()
     cum = np.cumsum(-np.sort(-probs, axis=-1), axis=-1)
     return keep_largest(probs, (cum < p).sum(axis=-1, keepdims=True) + 1)
+
+
+def generate_with_own_inputs(prior: PriorModel, tokenizer, c: int, cfg) -> tuple:
+    """`sampler.generate`'s walk with caches that each build their own code
+    inputs, where generate's two share one `CodeInputs`: (grids, pixels)."""
+    prefix = []
+    caches = (ScaleCache(c), ScaleCache(prior.config.null_index))
+    for u in smp.walk_uniforms(cfg.seed, prior.schedule.sizes):
+        prefix.append(smp.sample_scale(prior, prefix, c, cfg, u, caches))
+    return prefix, decode_batch(tokenizer, [g[None] for g in prefix])[0]
 
 
 def _realized_logprob(logits: np.ndarray, flat: np.ndarray) -> float:

@@ -21,6 +21,7 @@ from mvgen import prior as pr
 from mvgen import sampler as smp
 from mvgen import tokenizer as tok
 from mvgen.numerics import ContractError, OptimizerConfig, Tensor
+from mvgen.rng import first_uniforms
 
 # desk-run constants (fixed seeds; every number below is reproducible)
 MASTER_SEED = 2026
@@ -216,7 +217,8 @@ def test_criterion_7_sampling_contracts(tiny_prior):
         p = float(rng.uniform(0.3, 1.0))
         filtered = smp.top_p_filter(smp.top_k_filter(probs, k), p)
         support = set(np.flatnonzero(filtered > 0).tolist())
-        for idx in smp.categorical_draw(np.tile(filtered, (50, 1)), case, 0):
+        [u] = first_uniforms([((case, "draw", 0), range(50))])
+        for idx in smp.categorical_draw(np.tile(filtered, (50, 1)), u):
             assert idx in support
             draws += 1
     assert draws == 10_000

@@ -585,15 +585,30 @@ def test_out_of_range_or_non_finite_value_exits_2(workdir, tmp_path, argv, confi
     assert_rejected(out, needle)
 
 
-def test_nan_weight_sample_exits_3_naming_the_op(workdir, tmp_path):
-    def plant_nan(config, arrays):
-        arrays["block0.ffn1.w"][0, 0] = np.nan
+@pytest.mark.parametrize("name,section,value", [
+    ("prior", "block0.ffn1.w", NAN), ("prior", "code_table", INF),
+    ("prior", "opt.head.w.m", -INF), ("tokenizer", "enc0.w", NAN),
+    ("tokenizer", "codebook.embeddings", INF)])
+def test_non_finite_section_sample_exits_2_naming_the_section(workdir, tmp_path, name,
+                                                              section, value):
+    """A NaN or Inf can only come from a damaged or hand-made file (training
+    stops a step before any weight turns non-finite), so the file is at fault,
+    not an op of the model that reads it."""
+    def plant(config, arrays):
+        arrays[section].reshape(-1)[0] = value
 
-    out = sample_rewritten(workdir, tmp_path, "prior", plant_nan)
-    assert out.returncode == 3
-    assert "Traceback" not in out.stderr
-    assert out.stderr.startswith("numeric failure: ") and out.stderr.count("\n") == 1
-    assert "non-finite values produced by op 'linear'" in out.stderr
+    out = sample_rewritten(workdir, tmp_path, name, plant)
+    assert_rejected(out, f"{name}.mvckpt: checkpoint section '{section}' holds a "
+                         f"non-finite value")
+
+
+@pytest.mark.parametrize("step", [NAN, INF, -1.0, 2.5, 1e30, 2.0 ** 24 + 2])
+def test_optimizer_step_off_the_integers_exits_2(workdir, tmp_path, step):
+    out = sample_rewritten(workdir, tmp_path, "prior", lambda config, arrays: arrays.update(
+        {"opt.head.w.step": np.array([step], dtype=np.float32)}))
+    needle = ("holds a non-finite value" if not math.isfinite(step)
+              else f"holds step {float(np.float32(step))!r}, not an integer in [0, 2**24]")
+    assert_rejected(out, f"prior.mvckpt: checkpoint section 'opt.head.w.step' {needle}")
 
 
 def test_overflowing_temperature_sample_exits_3(workdir):

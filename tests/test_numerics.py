@@ -472,6 +472,48 @@ class TestConvOps:
         cty = nx.conv_transpose2d(nx.Tensor(y), nx.Tensor(w), nx.Tensor(zeros2)).values
         assert (cx * y).sum() == pytest.approx((x * cty).sum(), rel=1e-10)
 
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("op,stride,kernel", [
+        ("conv2d", 1, 3), ("conv2d", 2, 3), ("conv2d", 1, 4), ("conv2d", 2, 4),
+        ("conv_transpose2d", 2, 3), ("conv_transpose2d", 2, 4)])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_im2col_has_the_bits_of_pad_and_sliding_windows(self, monkeypatch, op, stride,
+                                                             kernel, batch, dtype):
+        """Forward values and every gradient, against tests/oracles.py's
+        im2col; a quarter of the inputs and probes are -0.0."""
+        rng = np.random.default_rng(zlib.crc32(f"{op}{stride}{kernel}{batch}{dtype}".encode()))
+
+        def signed_zeros(shape):
+            v = rng.normal(size=shape)
+            return np.where(rng.random(shape) < 0.25, -0.0, v).astype(dtype)
+
+        cin, cout = 3, 5
+        w_shape = (cout, cin) if op == "conv2d" else (cin, cout)
+        x_val, w_val = signed_zeros((batch, cin, 7, 7)), signed_zeros(w_shape + (kernel,) * 2)
+        b_val = signed_zeros((cout,))
+        probe = {}
+
+        def run():
+            x, w, b = (nx.Tensor(v.copy(), requires_grad=True) for v in (x_val, w_val, b_val))
+            out = (nx.conv2d(x, w, b, stride=stride) if op == "conv2d"
+                   else nx.conv_transpose2d(x, w, b))
+            g = probe.setdefault("g", signed_zeros(out.shape))
+            (out * nx.Tensor(g)).sum().backward()
+            return [out.values.tobytes()] + [t.grad.tobytes() for t in (x, w, b)]
+
+        lean, padded = (f(x_val, kernel, kernel, stride) for f in (nx.conv._im2col, oracles.im2col))
+        assert lean[0].tobytes() == padded[0].tobytes() and lean[1:] == padded[1:]
+        got = run()
+        monkeypatch.setattr(nx.conv, "_im2col", oracles.im2col)
+        assert got == run()
+
+    def test_kernel_past_the_padded_input_is_contract_error(self):
+        w = nx.Tensor(np.ones((2, 1, 4, 4)))
+        assert nx.conv2d(np.ones((1, 1, 2, 2)), w, np.zeros(2), stride=2).shape == (1, 2, 1, 1)
+        for stride in (1, 2):
+            with pytest.raises(nx.ContractError, match="kernel 4x4 exceeds the padded 1x1 input"):
+                nx.conv2d(np.ones((1, 1, 1, 1)), w, np.zeros(2), stride=stride)
+
     def test_resize_identity_and_average(self):
         grid = nx.Tensor(np.array([[0.0, 0.0], [1.0, 1.0]]))
         same = nx.resize_bilinear(grid, 2, 2)

@@ -258,6 +258,25 @@ class TestScaleCache:
         with pytest.raises(ContractError, match="grid 0"):
             model.next_scale_logits([grid], 0)
 
+    def test_inputs_built_from_other_grids_rejected(self):
+        """Two caches may share one CodeInputs only while they walk the same
+        grids; the second cache is told when its prefix is not the one the
+        shared rows were built from."""
+        model = perturbed(make_model(schedule=(1, 2, 3)))
+        grids = list(random_pyramid(model, seed=5).grids)
+        other = [g.copy() for g in grids]
+        other[1][0, 0] = (other[1][0, 0] + 1) % model.config.vocab_size
+        inputs, null = pr.CodeInputs(), model.config.null_index
+        cache, null_cache = pr.ScaleCache(0, inputs=inputs), pr.ScaleCache(null, inputs=inputs)
+        alone = pr.ScaleCache(null)
+        for k in range(3):
+            model.next_scale_logits(grids[:k], 0, cache)
+        for k in range(2):
+            shared = model.next_scale_logits(other[:k], null, null_cache)
+            assert shared.tobytes() == model.next_scale_logits(other[:k], null, alone).tobytes()
+        with pytest.raises(ContractError, match="inputs were built from another grid 1"):
+            model.next_scale_logits(other[:2], null, null_cache)
+
     def test_other_condition_rejected(self):
         model = make_model()
         cache = pr.ScaleCache(0)

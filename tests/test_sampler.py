@@ -10,7 +10,7 @@ from mvgen import sampler as smp
 from mvgen import tokenizer as tok
 from mvgen import numerics as nx
 from mvgen.numerics import ContractError, NumericError
-from mvgen.rng import rng_for
+from mvgen.rng import first_uniforms, rng_for
 
 
 def toy_prior(schedule=(1, 2), vocab=8, seed=1, bias=None, depth=1):
@@ -23,6 +23,22 @@ def toy_prior(schedule=(1, 2), vocab=8, seed=1, bias=None, depth=1):
     if bias is not None:
         model.params["head.b"].values = np.asarray(bias, dtype=np.float64)
     return model
+
+
+def open_gates(model, seed=0):
+    """Every weight moved off its initial value, so AdaLN's gates, which start
+    at zero, pass attention, the cache and the inputs of every scale through
+    to the logits."""
+    rng = np.random.default_rng(seed)
+    for param in model.params.values():
+        param.values = param.values + rng.normal(0, 0.05, size=param.values.shape)
+    return model
+
+
+def draw_uniforms(seed, scale_index, rows):
+    """Rows 0..rows-1 of a scale's draw uniforms, keyed as a walk keys them."""
+    [u] = first_uniforms([((seed, "draw", scale_index), range(rows))])
+    return u
 
 
 def matched_tokenizer(schedule=(1, 2), vocab=8, seed=2):
@@ -109,15 +125,15 @@ class TestCategoricalDraw:
             p = float(rng.uniform(0.3, 1.0))
             filtered = smp.top_p_filter(smp.top_k_filter(probs, k), p)
             support = np.flatnonzero(filtered > 0)
-            draws = smp.categorical_draw(np.tile(filtered, (50, 1)), seed=case, scale_index=0)
+            draws = smp.categorical_draw(np.tile(filtered, (50, 1)), draw_uniforms(case, 0, 50))
             assert np.isin(draws, support).all()
             total += draws.size
         assert total == 10_000
 
     def test_deterministic_per_key(self):
         probs = np.tile([0.25, 0.25, 0.25, 0.25], (4, 1))
-        a = smp.categorical_draw(probs, seed=7, scale_index=1)
-        b = smp.categorical_draw(probs, seed=7, scale_index=1)
+        a = smp.categorical_draw(probs, draw_uniforms(7, 1, 4))
+        b = smp.categorical_draw(probs, draw_uniforms(7, 1, 4))
         assert np.array_equal(a, b)
 
     def test_matches_exact_categorical_frequencies(self):
@@ -125,10 +141,10 @@ class TestCategoricalDraw:
         bias = np.array([0.3, -0.2, 0.9, 0.0])
         shifted = bias - bias.max()
         probs = np.exp(shifted) / np.exp(shifted).sum()
-        counts = np.zeros(4)
         n = 100_000
-        for i in range(n):
-            counts[smp.categorical_draw(probs[None], seed=i, scale_index=0)[0]] += 1
+        # draw i is row 0 of scale 0 under seed i; one Philox pass gives all n
+        u = np.concatenate(first_uniforms([((i, "draw", 0), [0]) for i in range(n)]))
+        counts = np.bincount(smp.categorical_draw(np.tile(probs, (n, 1)), u), minlength=4)
         expected = probs * n
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 16.27  # chi-square(3) 99.9th percentile
@@ -195,7 +211,7 @@ def inverse_cdf(row, u):
 def test_categorical_draw_uses_the_documented_key(seed, rows, vocab, k, scale_index):
     rng = np.random.default_rng(abs(seed))
     probs = smp.top_k_filter(rng.dirichlet(np.ones(vocab), size=rows), k)
-    draws = smp.categorical_draw(probs, seed, scale_index)
+    draws = smp.categorical_draw(probs, draw_uniforms(seed, scale_index, rows))
     assert draws.shape == (rows,)
     for r in range(rows):
         u = rng_for(seed, "draw", scale_index, r).random()
@@ -206,8 +222,9 @@ class TestSampleScale:
     def test_greedy_temperature_zero_deterministic(self):
         model = toy_prior()
         cfg = smp.SamplingConfig(cfg_scale=1.0, temperature=0.0, seed=0)
-        a = smp.sample_scale(model, [], 0, cfg)
-        b = smp.sample_scale(model, [], 0, cfg)
+        [u, _] = smp.walk_uniforms(cfg.seed, model.schedule.sizes)
+        a = smp.sample_scale(model, [], 0, cfg, u)
+        b = smp.sample_scale(model, [], 0, cfg, u)
         assert np.array_equal(a, b)
         logits = model.next_scale_logits([], 0)
         assert a[0, 0] == int(np.argmax(logits[0]))
@@ -215,14 +232,15 @@ class TestSampleScale:
     def test_same_seed_identical_grids(self):
         model = toy_prior()
         cfg = smp.SamplingConfig(cfg_scale=2.0, top_k=4, top_p=0.9, seed=42)
-        a = smp.sample_scale(model, [np.array([[1]])], 1, cfg)
-        b = smp.sample_scale(model, [np.array([[1]])], 1, cfg)
+        [_, u] = smp.walk_uniforms(cfg.seed, model.schedule.sizes)
+        a = smp.sample_scale(model, [np.array([[1]])], 1, cfg, u)
+        b = smp.sample_scale(model, [np.array([[1]])], 1, cfg, u)
         assert np.array_equal(a, b)
 
     def test_top_k_above_vocab_rejected(self):
         model = toy_prior(vocab=8)
         with pytest.raises(ContractError):
-            smp.sample_scale(model, [], 0, smp.SamplingConfig(top_k=9))
+            smp.sample_scale(model, [], 0, smp.SamplingConfig(top_k=9), draw_uniforms(0, 0, 1))
 
 
 class TestGenerate:
@@ -304,8 +322,8 @@ class TestGenerate:
         tkn = matched_tokenizer(schedule=schedule, seed=14)
         out = smp.generate(model, tkn, 1, cfg)
         prefix = []
-        for _ in schedule:
-            prefix.append(smp.sample_scale(model, prefix, 1, cfg))
+        for u in smp.walk_uniforms(cfg.seed, schedule):
+            prefix.append(smp.sample_scale(model, prefix, 1, cfg, u))
         for a, b in zip(out.pyramid.grids, prefix):
             assert np.array_equal(a, b)
         assert np.array_equal(out.values, tok.decode_batch(tkn, [g[None] for g in prefix])[0])
@@ -325,14 +343,15 @@ class TestGenerate:
     def test_non_finite_distribution_raises_instead_of_drawing_token_0(self):
         model = toy_prior(schedule=(1,), vocab=4, bias=[0.5, 2.0, 1.0, -1.0])
         model.params["head.w"].values[:] = 0.0  # logits are the bias
-        grid = smp.sample_scale(model, [], 0, smp.SamplingConfig(temperature=1e-300))
+        u = draw_uniforms(0, 0, 1)
+        grid = smp.sample_scale(model, [], 0, smp.SamplingConfig(temperature=1e-300), u)
         assert grid.tolist() == [[1]]
         # logits / T overflow to inf, with and without the filters on the NaN rows
         for cfg in (smp.SamplingConfig(temperature=1e-310),
                     smp.SamplingConfig(temperature=1e-310, top_k=2, top_p=0.9)):
             with pytest.raises(nx.NonOpNumericError,
                                match="non-finite sampling distribution at scale 0"):
-                smp.sample_scale(model, [], 0, cfg)
+                smp.sample_scale(model, [], 0, cfg, u)
             with pytest.raises(nx.NonOpNumericError,
                                match="non-finite sampling distribution at scale 0"):
                 smp.generate(model, matched_tokenizer(schedule=(1,), vocab=4), 0, cfg)
@@ -354,6 +373,54 @@ class TestGenerate:
         tkn = matched_tokenizer(schedule=(1, 2, 4))
         with pytest.raises(ContractError):
             smp.generate(model, tkn, 0, smp.SamplingConfig())
+
+
+class TestWalkWork:
+    """What a walk does once: its Philox pass and its label-free inputs."""
+
+    @pytest.mark.parametrize("schedule", [(1, 2, 3, 4), tok.PAPER_SCHEDULE.sizes],
+                             ids=["desk", "paper"])
+    def test_draws_read_one_philox_pass_keyed_seed_draw_scale_row(self, schedule, monkeypatch):
+        model, tkn = toy_prior(schedule=schedule), matched_tokenizer(schedule=schedule)
+        passes, draws = [], []
+        philox, draw = smp.first_uniforms, smp.categorical_draw
+        monkeypatch.setattr(smp, "first_uniforms", lambda *a: passes.append(1) or philox(*a))
+        monkeypatch.setattr(smp, "categorical_draw",
+                            lambda probs, u: draws.append(u.copy()) or draw(probs, u))
+        for seed in (0, -1, 2**100):  # -1 is perfbench's warm-up seed
+            passes.clear()
+            draws.clear()
+            smp.generate(model, tkn, 0, smp.SamplingConfig(cfg_scale=2.0, seed=seed))
+            assert len(passes) == 1 and len(draws) == len(schedule)
+            for k, (u, n) in enumerate(zip(draws, schedule)):
+                want = [rng_for(seed, "draw", k, r).random() for r in range(n * n)]
+                assert u.tobytes() == np.array(want).tobytes(), (seed, k)
+
+    @pytest.mark.parametrize("schedule", [(1, 2, 3, 4), tok.PAPER_SCHEDULE.sizes],
+                             ids=["desk", "paper"])
+    def test_guided_walk_equals_one_whose_caches_build_their_own_inputs(self, schedule):
+        """The two conditions share scales 2..K's inputs and keep scale 1's
+        condition rows apart: the bits are those of tests/oracles.py's walk,
+        whose null cache builds every input itself."""
+        model = open_gates(toy_prior(schedule=schedule, seed=21, depth=2))
+        tkn = matched_tokenizer(schedule=schedule, seed=22)
+        for label in (0, 1):
+            for seed in (0, 7, 2**70):
+                cfg = smp.SamplingConfig(cfg_scale=3.0, top_k=6, seed=seed)
+                out = smp.generate(model, tkn, label, cfg)
+                grids, values = oracles.generate_with_own_inputs(model, tkn, label, cfg)
+                assert [g.tobytes() for g in out.pyramid.grids] == [g.tobytes() for g in grids]
+                assert out.values.tobytes() == values.tobytes()
+
+    def test_guided_walk_projects_each_scale_once(self, monkeypatch):
+        schedule = (1, 2, 3, 4)
+        model, tkn = toy_prior(schedule=schedule), matched_tokenizer(schedule=schedule)
+        projected = []
+        linear = pr.PriorModel._linear
+        monkeypatch.setattr(pr.PriorModel, "_linear", lambda self, name, x: (
+            projected.append(name == "input_proj") or linear(self, name, x)))
+        smp.generate(model, tkn, 0, smp.SamplingConfig(cfg_scale=2.0, seed=1))
+        assert sum(projected) == len(schedule) - 1
 
 
 def test_sampling_config_validation():
